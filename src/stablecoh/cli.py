@@ -72,15 +72,24 @@ def _default_jobs() -> int:
 
 
 def resolve_seed(flag_value: int | None) -> tuple[int, str]:
-    """Seed precedence: explicit flag, then the environment, then 0."""
+    """Seed precedence: explicit flag, then the environment, then 0.
+
+    Negative seeds are refused: random.Random(-s) draws the same stream as
+    Random(s), so two reports would claim different seeds for identical runs.
+    """
     if flag_value is not None:
+        if flag_value < 0:
+            raise UsageError(f"--seed must be nonnegative, got {flag_value}")
         return flag_value, "flag"
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            return int(env), "env"
+            seed = int(env)
         except ValueError:
             raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+        if seed < 0:
+            raise UsageError(f"{SEED_ENV_VAR} must be nonnegative, got {seed}")
+        return seed, "env"
     return 0, "default"
 
 
@@ -500,6 +509,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         seed, seed_source = resolve_seed(getattr(args, "seed", None))
         handler = _HANDLERS[args.command]
         params, payload, csv_rows, table_lines, code = handler(args, seed, seed_source)

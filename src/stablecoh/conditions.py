@@ -139,7 +139,11 @@ def ordinary_square_dim(d: int, config: PointConfiguration) -> int:
                     products.append(key)
     if not products:
         return 0
-    return ExactMatrix.from_rows(products, n_cols).rank()
+    # I^2 lies inside I^(2), so the rank is at most dim I^(2)_d = n_cols minus
+    # the codimension; the modular rank never exceeds the codimension, so
+    # subtracting it keeps the bound proven without an exact rank.
+    upper = n_cols - singularity_matrix(d, config).modular_rank()
+    return ExactMatrix.from_rows(products, n_cols).rank(upper)
 
 
 def hilbert_function(d: int, config: PointConfiguration, mode: str = "symbolic") -> int:

@@ -1,13 +1,19 @@
-"""Dense exact-rational matrices with fraction-free rank and kernel bases.
+"""Dense exact-rational matrices with certified rank and kernel bases.
 
-Rank decisions are made by Bareiss elimination over arbitrary-precision
-integers; floating point never enters. Kernel bases are computed from the
-reduced row echelon form over the rationals and returned as primitive integer
-vectors, so identical inputs give byte-identical bases.
+A rank is first computed modulo one fixed prime p below 2^30. Reduction mod
+p can only lose rank, so rank(A mod p) <= rank_Q(A) <= bound, where the bound
+is proven: the smaller matrix dimension, or a tighter bound the caller
+proves (the ordinary square passes an upper bound on dim I^(2)_d, since I^2
+is inside I^(2)). When the modular rank meets the bound it is the exact
+rank; otherwise fraction-free Bareiss elimination over the integers decides.
+Floating point never enters. Kernel bases are computed from the reduced row
+echelon form over the rationals and returned as primitive integer vectors,
+so identical inputs give byte-identical bases.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -15,17 +21,47 @@ from typing import Iterable, Sequence
 
 Scalar = int | Fraction
 
-# Past this row/column imbalance the rank is taken on the (small) Gram matrix
-# A*A^T instead, which is equivalent over the rationals.
-_GRAM_RATIO = 2
+# The largest prime below 2^30: every residue fits in one CPython digit, which
+# keeps the elimination loop on single-digit integers.
+PRIME = 1073741789
 
 
-def clear_denominators(row: Sequence[Scalar]) -> list[int]:
-    """Scale a rational row to integers; rescaling a row preserves rank."""
+def clear_denominators(row: Sequence[Scalar]) -> Sequence[int]:
+    """Scale a rational row to integers; rescaling a row preserves rank.
+
+    A row that is already integral is returned as is, not copied.
+    """
     if all(type(x) is int for x in row):
-        return list(row)
+        return row
     mult = lcm(*(Fraction(x).denominator for x in row)) if row else 1
     return [int(x * mult) for x in row]
+
+
+def modular_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix over the field with PRIME elements.
+
+    Reduction mod p can only lose rank, so the result is a lower bound on
+    the rank over the rationals.
+    """
+    p = PRIME
+    # Residues live in machine-word arrays, not as one int object per entry,
+    # so the reduced copy costs less memory than the matrix it came from.
+    m = [array("l", [x % p for x in row]) for row in rows]
+    rank = 0
+    # Each step retires the leading column; rows hold the remaining columns.
+    while m and m[0]:
+        pivot = next((i for i, row in enumerate(m) if row[0]), None)
+        if pivot is None:
+            m = [row[1:] for row in m]
+            continue
+        head = m.pop(pivot)
+        inv = pow(head[0], -1, p)
+        tail = [x * inv % p for x in head[1:]]
+        for i, row in enumerate(m):
+            f = row[0]
+            m[i] = array("l", [(a - f * b) % p for a, b in zip(row[1:], tail)]) if f else row[1:]
+        rank += 1
+    return rank
 
 
 def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -64,36 +100,30 @@ def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
     return pivot_row
 
 
-def gram_matrix(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Symmetric matrix of pairwise row dot products."""
-    n_rows = len(rows)
-    g = [[0] * n_rows for _ in range(n_rows)]
-    for i in range(n_rows):
-        ri = rows[i]
-        for j in range(i, n_rows):
-            s = sum(a * b for a, b in zip(ri, rows[j]))
-            g[i][j] = s
-            g[j][i] = s
-    return g
+def integer_rank(rows: Sequence[Sequence[int]], upper: int | None = None) -> int:
+    """Exact rank over the rationals of an integer matrix.
 
-
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix, reducing to the Gram matrix when very wide.
-
-    Over the rationals rank(A) = rank(A * A^T): the quadratic form x -> |x|^2
-    is positive definite, so A^T y = 0 exactly when A A^T y = 0. The Gram
-    pass keeps the elimination square when one side is much longer.
+    The bound is min(rows, cols), or min(upper, rows, cols) when the caller
+    passes `upper`, which must be a proven upper bound on the rank. The rank
+    modulo PRIME is returned when it meets the bound; since it can never
+    exceed the true rank, it is then exact. Otherwise (a rank-deficient
+    matrix, a loose bound or an unlucky prime) Bareiss elimination decides.
+    A rank above `upper` means the bound was false and raises ValueError.
     """
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
     if n_rows == 0 or n_cols == 0:
         return 0
-    if n_rows > _GRAM_RATIO * n_cols:
-        rows = [[rows[r][c] for r in range(n_rows)] for c in range(n_cols)]
+    if n_rows > n_cols:
+        rows = list(zip(*rows))
         n_rows, n_cols = n_cols, n_rows
-    if n_cols > _GRAM_RATIO * n_rows:
-        return bareiss_rank(gram_matrix(rows))
-    return bareiss_rank(rows)
+    bound = n_rows if upper is None else min(upper, n_rows)
+    rank = modular_rank(rows)
+    if rank < bound:
+        rank = bareiss_rank(rows)
+    if rank > bound:
+        raise ValueError(f"rank {rank} exceeds the claimed upper bound {upper}")
+    return rank
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -182,10 +212,15 @@ class ExactMatrix:
             cols = len(data[0])
         return cls(len(data), cols, data)
 
-    def rank(self) -> int:
+    def rank(self, upper: int | None = None) -> int:
+        """Exact rank; `upper`, if given, must be a proven upper bound on it."""
         if self.rows == 0 or self.cols == 0:
             return 0
-        return integer_rank([clear_denominators(row) for row in self.entries])
+        return integer_rank([clear_denominators(row) for row in self.entries], upper)
+
+    def modular_rank(self) -> int:
+        """Rank modulo PRIME: a proven lower bound on the exact rank."""
+        return modular_rank([clear_denominators(row) for row in self.entries])
 
     def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
         return kernel_basis(self.entries, self.cols)

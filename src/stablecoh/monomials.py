@@ -79,7 +79,8 @@ def enumerate_monomials(d: int, n: int) -> tuple[Monomial, ...]:
     if d < 0 or n < 0:
         raise ValueError(f"degree and dimension must be nonnegative, got d={d}, n={n}")
     mons = tuple(Monomial(e) for e in _exponent_tuples(d, n))
-    assert len(mons) == comb(d + n, n)
+    if len(mons) != comb(d + n, n):
+        raise RuntimeError(f"enumerated {len(mons)} monomials, expected comb({d + n}, {n})")
     return mons
 
 

@@ -220,5 +220,6 @@ def gl_cohomology(n: int) -> tuple[tuple[GlGenerator, ...], GradedTateVector]:
         components.append((degree, 1, tate))
     table = GradedTateVector.from_components(components)
     top = (n + 1) ** 2
-    assert table.degrees()[-1] == top and table.dimension(top) == 1
+    if table.degrees()[-1] != top or table.dimension(top) != 1:
+        raise RuntimeError(f"GL_{n + 1} table must end in one class of degree {top}")
     return generators, table

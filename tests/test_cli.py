@@ -146,11 +146,25 @@ def test_env_seed_is_honored_and_echoed(capsys, monkeypatch):
 
 
 def test_bad_env_seed_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-    code = main(["codim", "--d", "3", "--n", "1", "--N", "2"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert SEED_ENV_VAR in captured.err
+    for value in ("not-a-number", "-5"):
+        monkeypatch.setenv(SEED_ENV_VAR, value)
+        code = main(["codim", "--d", "3", "--n", "1", "--N", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert SEED_ENV_VAR in captured.err
+        assert captured.out == ""
+
+
+def test_negative_seed_and_jobs_below_one_are_usage_errors(capsys):
+    base = ["verify-lemma", "--d", "3", "--n", "1", "--N", "2", "--trials", "4"]
+    for extra, flag in [(["--seed", "-5"], "--seed"),
+                        (["--jobs", "0"], "--jobs"),
+                        (["--jobs", "-2"], "--jobs")]:
+        code = main(base + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: {flag}" in captured.err
+        assert captured.out == ""
 
 
 def test_jobs_flag_does_not_change_bytes(capsys):

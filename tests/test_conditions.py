@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stablecoh import linalg
 from stablecoh.conditions import (
     StabilizationError,
     codimension,
@@ -21,6 +22,7 @@ from stablecoh.conditions import (
     symbolic_square_dim,
     verify_codim_lemma,
 )
+from stablecoh.linalg import bareiss_rank
 from stablecoh.params import ParameterTriple
 from stablecoh.points import (
     PointConfiguration,
@@ -174,6 +176,26 @@ def test_ordinary_square_never_exceeds_symbolic():
         cfg = random_configuration(n, N, rng, coord_bound=20)
         for d in range(2, 2 * N + 2):
             assert ordinary_square_dim(d, cfg) <= symbolic_square_dim(d, cfg)
+
+
+def test_ordinary_square_is_exact_rank_of_products(monkeypatch):
+    seen = []
+    certified = linalg.integer_rank
+
+    def recording(rows, upper=None):
+        seen.append((rows, upper))
+        return certified(rows, upper)
+
+    monkeypatch.setattr(linalg, "integer_rank", recording)
+    cfg = coordinate_configuration(3, 3)
+    # At d = 3 < 2N the square of the ideal misses xyz: the product rank stays
+    # below its bound dim I^(2)_3 = 8, so Bareiss decides. d = 4 is certified.
+    for d, dim, upper in [(3, 7, 8), (4, 23, 23)]:
+        seen.clear()
+        assert ordinary_square_dim(d, cfg) == dim
+        [(rows, bound)] = seen
+        assert bound == upper == symbolic_square_dim(d, cfg)
+        assert bareiss_rank(rows) == dim
 
 
 # --- Hilbert functions ----------------------------------------------------------

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stablecoh.linalg import (
+    PRIME,
     ExactMatrix,
     bareiss_rank,
     clear_denominators,
-    gram_matrix,
     integer_rank,
     kernel_basis,
+    modular_rank,
     primitive_vector,
     rref,
 )
@@ -29,6 +30,21 @@ def test_known_ranks():
 def test_rank_of_empty():
     assert integer_rank([]) == 0
     assert ExactMatrix(0, 3, ()).rank() == 0
+
+
+def test_multiples_of_the_prime_fall_back_to_exact_rank():
+    rows = [[PRIME * x for x in row] for row in ([1, 2, 3], [4, 5, 6], [7, 8, 10])]
+    assert modular_rank(rows) == 0
+    assert integer_rank(rows) == sympy_rank(rows) == 3
+
+
+def test_upper_bound_is_used_and_checked():
+    assert integer_rank([[1, 2, 3], [2, 4, 6]], upper=1) == 1
+    with pytest.raises(ValueError):
+        integer_rank([[1, 0], [0, 1]], upper=1)
+    # The modular rank is 0 here, so the false bound surfaces in the fallback.
+    with pytest.raises(ValueError):
+        integer_rank([[PRIME, 0], [0, PRIME]], upper=1)
 
 
 def test_clear_denominators():
@@ -74,24 +90,32 @@ def test_transpose_preserves_rank():
     assert m.rank() == m.transpose().rank() == 2
 
 
-small_matrix = st.lists(
-    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6),
-    min_size=1,
-    max_size=6,
-).filter(lambda rows: len({len(r) for r in rows}) == 1)
+def matrices(entries):
+    return st.lists(
+        st.lists(entries, min_size=1, max_size=6), min_size=1, max_size=6
+    ).filter(lambda rows: len({len(r) for r in rows}) == 1)
+
+
+small_entries = st.integers(min_value=-9, max_value=9)
+small_matrix = matrices(small_entries)
+# Entries near 0, +-p and +-2p reduce to small residues mod p, so the modular
+# rank can drop below the true rank and the exact fallback has to decide.
+near_prime_entries = st.builds(
+    lambda k, e: k * PRIME + e, st.integers(min_value=-2, max_value=2), small_entries
+)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(small_matrix)
 def test_rank_engines_agree(rows):
     direct = bareiss_rank(rows)
-    via_gram = bareiss_rank(gram_matrix(rows))
+    certified = integer_rank(rows)
     via_rref = len(rref(rows)[1])
-    assert direct == via_gram == via_rref
+    assert direct == certified == via_rref
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(small_matrix)
+@given(matrices(small_entries | near_prime_entries))
 def test_rank_matches_sympy(rows):
     assert integer_rank(rows) == sympy_rank(rows)
 
