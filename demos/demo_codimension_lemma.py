@@ -21,6 +21,12 @@ from stablecoh.conditions import symbolic_square_basis
 from stablecoh.monomials import enumerate_monomials
 
 
+def monomial_text(exponents):
+    """Render an exponent tuple as x0^a*x1^b*..., omitting zero exponents."""
+    parts = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exponents) if e]
+    return "*".join(parts) or "1"
+
+
 def show(title):
     print()
     print(title)
@@ -34,7 +40,7 @@ print("conditions imposed:", codimension(3, cfg), "out of an expected", 3 * 3)
 basis = symbolic_square_basis(3, cfg)
 mons = enumerate_monomials(3, 2)
 for vec in basis:
-    poly = " + ".join(str(m) for c, m in zip(vec, mons) if c)
+    poly = " + ".join(monomial_text(m) for c, m in zip(vec, mons) if c)
     print("the one cubic singular at all three points:", poly)
 
 show("Random configurations at the guaranteed degree d = 2N-1")

@@ -1,6 +1,6 @@
 """Exact verification of the stable cohomology bookkeeping for discriminant complements.
 
-The library computes, in exact rational arithmetic, the three ingredients that
+The library computes, in exact arithmetic, the three ingredients that
 pin down the stable rational cohomology of spaces of non-singular homogeneous
 polynomials:
 
@@ -23,7 +23,6 @@ from .conditions import (
     hilbert_function,
     ideal_degree_part,
     ordinary_square_dim,
-    regularity_scan,
     singularity_matrix,
     symbolic_square_dim,
     verify_codim_lemma,
@@ -37,7 +36,7 @@ from .e1 import (
     verify_stable_match,
 )
 from .linalg import ExactMatrix
-from .monomials import Monomial, enumerate_monomials
+from .monomials import enumerate_monomials
 from .params import ParameterTriple, coefficient_space_dim
 from .points import (
     PointConfiguration,
@@ -57,7 +56,6 @@ from .tables import (
 __all__ = [
     "ExactMatrix",
     "GradedTateVector",
-    "Monomial",
     "ParameterTriple",
     "PointConfiguration",
     "__version__",
@@ -77,7 +75,6 @@ __all__ = [
     "ordinary_square_dim",
     "parse_points_json",
     "random_configuration",
-    "regularity_scan",
     "singularity_matrix",
     "stable_range_report",
     "stratum_bm",

@@ -154,10 +154,6 @@ def emit(args, command: str, params: dict, seed: int, seed_source: str,
         sys.stdout.write(text)
 
 
-def _points_for_json(config: PointConfiguration) -> list[list[str]]:
-    return config.json_points()
-
-
 # --- subcommand handlers ------------------------------------------------------
 
 
@@ -171,7 +167,7 @@ def cmd_codim(args, seed, seed_source):
     payload = {
         "n": n,
         "N": N,
-        "points": _points_for_json(config),
+        "points": config.json_points(),
         "codimension": value,
         "expected_codimension": expected,
         "matches_expected": value == expected,
@@ -216,7 +212,7 @@ def cmd_hilbert(args, seed, seed_source):
     payload = {
         "n": n,
         "N": N,
-        "points": _points_for_json(config),
+        "points": config.json_points(),
         "symbolic": symbolic,
         "ordinary": ordinary,
         "agree": symbolic == ordinary,
@@ -239,7 +235,7 @@ def cmd_regularity(args, seed, seed_source):
         payload = {
             "n": n,
             "N": N,
-            "points": _points_for_json(config),
+            "points": config.json_points(),
             "d_max": d_max,
             "error": str(exc),
         }
@@ -247,7 +243,7 @@ def cmd_regularity(args, seed, seed_source):
     payload = {
         "n": n,
         "N": N,
-        "points": _points_for_json(config),
+        "points": config.json_points(),
         "d_max": d_max,
         "target": scan.target,
         "stabilization_degree": scan.stabilization_degree,

@@ -10,10 +10,11 @@ stabilization at degree 2N-1 together with the collinear sharpness probe.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
+from math import prod
 
 from .linalg import ExactMatrix
 from .monomials import enumerate_monomials, monomial_index
@@ -30,8 +31,8 @@ class StabilizationError(RuntimeError):
     """A scan failed to reach the expected stable value within its degree budget."""
 
 
-def _power_table(coord: int | Fraction, d: int) -> list[int | Fraction]:
-    pows: list[int | Fraction] = [1] * (d + 1)
+def _power_table(coord: int, d: int) -> list[int]:
+    pows = [1] * (d + 1)
     for e in range(1, d + 1):
         pows[e] = pows[e - 1] * coord
     return pows
@@ -42,26 +43,26 @@ def singularity_matrix(d: int, config: PointConfiguration) -> ExactMatrix:
 
     One row per (point, partial derivative) pair, one column per degree-d
     monomial in graded-lex order; the entry is the derivative of the column
-    monomial evaluated at the row point. The kernel is the degree-d part of
-    the forms vanishing to order >= 2 at each configuration point, so the
-    rank is the codimension of that space inside all degree-d forms.
+    monomial evaluated at the normal form of the row point, so every entry is
+    an integer. The kernel is the degree-d part of the forms vanishing to
+    order >= 2 at each configuration point, so the rank is the codimension of
+    that space inside all degree-d forms.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     n = config.dimension
     mons = enumerate_monomials(d, n)
     rows = []
-    for point in config.points:
+    for point in config.integer_points:
         pows = [_power_table(c, d) for c in point]
         for i in range(n + 1):
             row = []
-            for mon in mons:
-                e = mon.exponents
+            for e in mons:
                 ei = e[i]
                 if ei == 0:
                     row.append(0)
                     continue
-                value: int | Fraction = ei
+                value = ei
                 for v, ev in enumerate(e):
                     value = value * pows[v][ev - 1 if v == i else ev]
                 row.append(value)
@@ -85,9 +86,12 @@ def symbolic_square_basis(d: int, config: PointConfiguration) -> tuple[tuple[int
 
 
 def evaluation_matrix(e: int, config: PointConfiguration) -> ExactMatrix:
-    """N x comb(e+n, n) matrix of monomial values at the configuration points."""
+    """N x comb(e+n, n) matrix of monomial values at the points' normal forms."""
     mons = enumerate_monomials(e, config.dimension)
-    rows = [[mon.evaluate(point) for mon in mons] for point in config.points]
+    rows = []
+    for point in config.integer_points:
+        pows = [_power_table(c, e) for c in point]
+        rows.append([prod(p[k] for p, k in zip(pows, exps)) for exps in mons])
     return ExactMatrix.from_rows(rows, len(mons))
 
 
@@ -126,11 +130,11 @@ def ordinary_square_dim(d: int, config: PointConfiguration) -> int:
                 for ia, ga in enumerate(g):
                     if not ga:
                         continue
-                    ea = mons_a[ia].exponents
+                    ea = mons_a[ia]
                     for ib, hb in enumerate(h):
                         if not hb:
                             continue
-                        eb = mons_b[ib].exponents
+                        eb = mons_b[ib]
                         col = index[tuple(x + y for x, y in zip(ea, eb))]
                         vec[col] += ga * hb
                 key = tuple(vec)
@@ -184,9 +188,12 @@ def _codim_trial(args: tuple[int, int, int, int]) -> tuple[int, tuple]:
 
 
 def _map_trials(worker, args_list, jobs: int):
-    if jobs > 1 and len(args_list) > 1:
-        chunk = max(1, len(args_list) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # A fork-started pool launches all max_workers processes on the first
+    # submit, so never ask for more than there are tasks or CPUs.
+    workers = min(jobs, len(args_list), os.cpu_count() or 1)
+    if workers > 1:
+        chunk = max(1, len(args_list) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, args_list, chunksize=chunk))
     return [worker(args) for args in args_list]
 
@@ -351,11 +358,6 @@ def regularity_profile(config: PointConfiguration, d_max: int) -> RegularityScan
         target=target,
         values=dict(sorted(values.items())),
     )
-
-
-def regularity_scan(config: PointConfiguration, d_max: int) -> int:
-    """First degree from which the symbolic Hilbert value stays at N(n+1)."""
-    return regularity_profile(config, d_max).stabilization_degree
 
 
 def _gp_trial(args: tuple[int, int, int]) -> tuple:

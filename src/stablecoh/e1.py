@@ -192,7 +192,7 @@ class StableMatchReport:
         }
 
 
-def verify_stable_match(n: int, limit: int = 8) -> StableMatchReport:
+def verify_stable_match(n: int) -> StableMatchReport:
     """Check that the columns reproduce the general-linear cohomology degrees.
 
     Column l contributes dual degrees l(2n+2-l) - i with the Betti number of
@@ -204,8 +204,6 @@ def verify_stable_match(n: int, limit: int = 8) -> StableMatchReport:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n > limit:
-        raise ValueError(f"n = {n} exceeds the configured limit {limit}")
     stratum: Counter = Counter()
     stratum_weighted: Counter = Counter()
     for l in range(1, n + 2):

@@ -1,4 +1,9 @@
-"""Dense exact-rational matrices with certified rank and kernel bases.
+"""Dense integer matrices with certified rank and kernel bases.
+
+Every matrix here holds plain Python integers. The ranks and kernels the
+library needs are invariant under rescaling a row, so callers clear
+denominators once, where the input is parsed, and no rational arithmetic
+happens below that.
 
 A rank is first computed modulo one fixed prime p below 2^30. Reduction mod
 p can only lose rank, so rank(A mod p) <= rank_Q(A) <= bound, where the bound
@@ -6,8 +11,8 @@ is proven: the smaller matrix dimension, or a tighter bound the caller
 proves (the ordinary square passes an upper bound on dim I^(2)_d, since I^2
 is inside I^(2)). When the modular rank meets the bound it is the exact
 rank; otherwise fraction-free Bareiss elimination over the integers decides.
-Floating point never enters. Kernel bases are computed from the reduced row
-echelon form over the rationals and returned as primitive integer vectors,
+Floating point never enters. Kernel bases come from a fraction-free
+Gauss-Jordan elimination and are returned as primitive integer vectors,
 so identical inputs give byte-identical bases.
 """
 
@@ -15,26 +20,12 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
-
-Scalar = int | Fraction
 
 # The largest prime below 2^30: every residue fits in one CPython digit, which
 # keeps the elimination loop on single-digit integers.
 PRIME = 1073741789
-
-
-def clear_denominators(row: Sequence[Scalar]) -> Sequence[int]:
-    """Scale a rational row to integers; rescaling a row preserves rank.
-
-    A row that is already integral is returned as is, not copied.
-    """
-    if all(type(x) is int for x in row):
-        return row
-    mult = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-    return [int(x * mult) for x in row]
 
 
 def modular_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -126,75 +117,60 @@ def integer_rank(rows: Sequence[Sequence[int]], upper: int | None = None) -> int
     return rank
 
 
-def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals and its pivot columns."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(n_cols):
-        if r >= n_rows:
-            break
-        pivot = None
-        for i in range(r, n_rows):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][col]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    return m, pivots
+def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:
+    """Divide an integer vector by the gcd of its entries."""
+    g = gcd(*vec)
+    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 
 
-def primitive_vector(vec: Sequence[Scalar]) -> tuple[int, ...]:
-    """Scale a rational vector by a positive rational to a primitive integer one."""
-    ints = clear_denominators(vec)
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
-
-
-def kernel_basis(rows: Sequence[Sequence[Scalar]], n_cols: int) -> tuple[tuple[int, ...], ...]:
+def kernel_basis(rows: Sequence[Sequence[int]], n_cols: int) -> tuple[tuple[int, ...], ...]:
     """Basis of the right kernel as primitive integer vectors.
 
     One vector per free column, ordered by column index; the free coordinate
-    of each vector is positive. The construction reads the basis off the
-    reduced row echelon form, so it is deterministic byte for byte.
+    of each vector is positive. Gauss-Jordan elimination with Bareiss's
+    exact integer divisions, applied to the rows above the pivot too,
+    leaves every pivot equal to one integer D, so D times the reduced row
+    echelon form is integral and the kernel vectors are read off it exactly.
+    The reduced form is unique, so the basis is deterministic byte for byte.
     """
-    reduced, pivots = rref(rows)
+    m = [list(row) for row in rows]
+    pivots: list[int] = []
+    prev = 1
+    for col in range(n_cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        head = m[r]
+        pv = head[col]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                m[i] = [(pv * a - f * b) // prev for a, b in zip(row, head)]
+        prev = pv
+        pivots.append(col)
+    sign = 1 if prev > 0 else -1
     pivot_set = set(pivots)
     basis = []
     for free in range(n_cols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * n_cols
-        v[free] = Fraction(1)
+        v = [0] * n_cols
+        v[free] = sign * prev
         for r, col in enumerate(pivots):
-            v[col] = -reduced[r][free]
+            v[col] = -sign * m[r][free]
         basis.append(primitive_vector(v))
     return tuple(basis)
 
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Dense matrix of exact rationals."""
+    """Dense matrix of arbitrary-precision integers."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[Scalar, ...], ...]
+    entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if len(self.entries) != self.rows:
@@ -204,7 +180,7 @@ class ExactMatrix:
                 raise ValueError(f"expected {self.cols} columns, got {len(row)}")
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[Scalar]], cols: int | None = None) -> "ExactMatrix":
+    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "ExactMatrix":
         data = tuple(tuple(row) for row in rows)
         if cols is None:
             if not data:
@@ -214,19 +190,11 @@ class ExactMatrix:
 
     def rank(self, upper: int | None = None) -> int:
         """Exact rank; `upper`, if given, must be a proven upper bound on it."""
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        return integer_rank([clear_denominators(row) for row in self.entries], upper)
+        return integer_rank(self.entries, upper)
 
     def modular_rank(self) -> int:
         """Rank modulo PRIME: a proven lower bound on the exact rank."""
-        return modular_rank([clear_denominators(row) for row in self.entries])
+        return modular_rank(self.entries)
 
     def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
         return kernel_basis(self.entries, self.cols)
-
-    def transpose(self) -> "ExactMatrix":
-        cols = tuple(
-            tuple(self.entries[r][c] for r in range(self.rows)) for c in range(self.cols)
-        )
-        return ExactMatrix(self.cols, self.rows, cols)

@@ -1,11 +1,16 @@
-"""Configurations of distinct points in projective space, with exact coordinates.
+"""Configurations of distinct points in projective space.
 
-Points are stored as the coordinate vectors they were given; projective
-normalization (leftmost nonzero coordinate scaled to 1) is used for equality
-tests and deduplication only. Random sampling draws integer coordinates
-uniformly from [-100, 100] and resamples on projective coincidence, which is
-enough to hit the generic locus with overwhelming probability while keeping
-matrix entries small.
+Each point keeps the coordinates it was given, integers or exact rationals,
+and those are used only to echo the point back in reports. Everything that
+computes with a point uses its normal form instead: the primitive integer
+vector on the same line whose leftmost nonzero entry is positive. It is
+computed once per point, when the configuration is built, and it is also
+the key for detecting projective duplicates. Ranks and kernels of the
+condition matrices do not change when a point is rescaled, so no rational
+arithmetic happens past this module. Random sampling draws integer
+coordinates uniformly from [-100, 100] and resamples on projective
+coincidence, which is enough to hit the generic locus with overwhelming
+probability while keeping matrix entries small.
 """
 
 from __future__ import annotations
@@ -13,12 +18,13 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Sequence
 
-from .linalg import ExactMatrix
+from .linalg import integer_rank
 
 Coord = int | Fraction
 Point = tuple[Coord, ...]
@@ -46,12 +52,14 @@ class PointsParseError(ValueError):
         super().__init__(message)
 
 
-def normalize_point(point: Sequence[Coord]) -> Point:
-    """Scale so the leftmost nonzero coordinate is 1."""
-    lead = next((c for c in point if c != 0), None)
-    if lead is None:
-        raise ValueError("zero vector is not a projective point")
-    return tuple(Fraction(c) / lead for c in point)
+def _normal_form(point: Sequence[Coord]) -> tuple[int, ...]:
+    """The primitive integer multiple of a nonzero point with a positive leading entry."""
+    scale = lcm(*(c.denominator for c in point))
+    ints = [c.numerator * (scale // c.denominator) for c in point]
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 @dataclass(frozen=True)
@@ -60,12 +68,14 @@ class PointConfiguration:
 
     dimension: int
     points: tuple[Point, ...]
+    # The normal form of each point, in the same order; see the module docstring.
+    integer_points: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.dimension
         if n < 0:
             raise ValueError(f"projective dimension must be >= 0, got {n}")
-        seen: dict[Point, int] = {}
+        seen: dict[tuple[int, ...], int] = {}
         for j, point in enumerate(self.points):
             if len(point) != n + 1:
                 raise ValueError(
@@ -73,28 +83,22 @@ class PointConfiguration:
                 )
             if all(c == 0 for c in point):
                 raise ValueError(f"point {j} is the zero vector")
-            key = normalize_point(point)
+            key = _normal_form(point)
             if key in seen:
                 raise ValueError(f"points {seen[key]} and {j} coincide projectively")
             seen[key] = j
+        # The keys of `seen` are the normal forms, in point order.
+        object.__setattr__(self, "integer_points", tuple(seen))
 
     @property
     def count(self) -> int:
         return len(self.points)
 
-    def normalized(self) -> "PointConfiguration":
-        return PointConfiguration(
-            self.dimension, tuple(normalize_point(p) for p in self.points)
-        )
-
     def permuted(self, order: Sequence[int]) -> "PointConfiguration":
         return PointConfiguration(self.dimension, tuple(self.points[i] for i in order))
 
-    def coordinate_matrix(self) -> ExactMatrix:
-        return ExactMatrix.from_rows(self.points, self.dimension + 1)
-
     def json_points(self) -> list[list[str]]:
-        """Coordinates as 'p' or 'p/q' strings, the on-disk interchange form."""
+        """The as-given coordinates as 'p' or 'p/q' strings, the on-disk interchange form."""
         return [[str(c) for c in point] for point in self.points]
 
 
@@ -136,7 +140,7 @@ def random_configuration(
 ) -> PointConfiguration:
     """Sample N projectively distinct random points."""
     points: list[Point] = []
-    keys: set[Point] = set()
+    keys: set[tuple[int, ...]] = set()
     attempts = 0
     while len(points) < N:
         attempts += 1
@@ -146,7 +150,7 @@ def random_configuration(
                 f"after {max_attempts} attempts"
             )
         point = random_point(n, rng, coord_bound)
-        key = normalize_point(point)
+        key = _normal_form(point)
         if key in keys:
             continue
         keys.add(key)
@@ -162,8 +166,7 @@ def in_general_linear_position(config: PointConfiguration) -> bool:
     """
     size = min(config.count, config.dimension + 1)
     for subset in combinations(range(config.count), size):
-        rows = [config.points[i] for i in subset]
-        if ExactMatrix.from_rows(rows, config.dimension + 1).rank() < size:
+        if integer_rank([config.integer_points[i] for i in subset]) < size:
             return False
     return True
 

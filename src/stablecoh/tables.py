@@ -202,22 +202,21 @@ def gl_cohomology(n: int) -> tuple[tuple[GlGenerator, ...], GradedTateVector]:
     """Generators and full additive table of the cohomology of GL_{n+1}(C).
 
     An exterior algebra on n+1 generators of degree 2k+1 and Hodge type
-    (k+1, k+1), k = 0..n. The table expands the product of (1 + t^{2k+1}):
-    the class of a generator subset S sits in degree sum(2k+1) with Tate
-    index -sum(k+1). Top degree is (n+1)^2, with a single class.
+    (k+1, k+1), k = 0..n. The table expands the product of
+    (1 + t^{2k+1} u^{-(k+1)}), with t marking degree and u the Tate index: the
+    class of a generator subset S sits in degree sum(2k+1) with Tate index
+    -sum(k+1). Top degree is (n+1)^2, with a single class.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     generators = tuple(GlGenerator(k) for k in range(n + 1))
-    components = []
-    for mask in range(1 << (n + 1)):
-        degree = 0
-        tate = 0
-        for k in range(n + 1):
-            if mask >> k & 1:
-                degree += 2 * k + 1
-                tate -= k + 1
-        components.append((degree, 1, tate))
+    # (degree, tate) -> coefficient of t^degree u^tate.
+    product = {(0, 0): 1}
+    for k in range(n + 1):
+        for (degree, tate), dim in list(product.items()):
+            key = (degree + 2 * k + 1, tate - k - 1)
+            product[key] = product.get(key, 0) + dim
+    components = [(degree, dim, tate) for (degree, tate), dim in product.items()]
     table = GradedTateVector.from_components(components)
     top = (n + 1) ** 2
     if table.degrees()[-1] != top or table.dimension(top) != 1:

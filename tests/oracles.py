@@ -1,13 +1,15 @@
 """Independent oracles used to pin expected values in the tests.
 
 Nothing here shares code with the library paths under test: subspaces are
-counted by explicit row-echelon enumeration over the two-element field, and
-condition ranks are recomputed with sympy's own differentiation and rank.
+counted by explicit row-echelon enumeration over the two-element field,
+condition ranks are recomputed with sympy's own differentiation and rank, and
+kernel bases come from sympy's nullspace.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
+from math import gcd, lcm
 
 import sympy
 
@@ -67,3 +69,18 @@ def sympy_codimension(d: int, points: list[tuple]) -> int:
 
 def sympy_rank(rows: list[list]) -> int:
     return sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows]).rank()
+
+
+def sympy_kernel_basis(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """sympy's nullspace, each vector scaled by a positive rational to be primitive.
+
+    sympy reads one vector per free column off the reduced row echelon form,
+    with that free coordinate equal to 1, so the scaled vectors keep it positive.
+    """
+    basis = []
+    for vec in sympy.Matrix(rows).nullspace():
+        scale = lcm(*(sympy.Rational(x).q for x in vec))
+        ints = [int(x * scale) for x in vec]
+        g = gcd(*ints)
+        basis.append(tuple(x // g for x in ints))
+    return tuple(basis)

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablecoh import linalg
+from stablecoh import conditions, linalg
 from stablecoh.conditions import (
     StabilizationError,
     codimension,
@@ -16,7 +16,6 @@ from stablecoh.conditions import (
     ideal_degree_part,
     ordinary_square_dim,
     regularity_profile,
-    regularity_scan,
     singularity_matrix,
     symbolic_square_basis,
     symbolic_square_dim,
@@ -269,14 +268,46 @@ def test_verify_lemma_deterministic_and_parallel_identical():
     assert a == b == c
 
 
+def test_pool_size_is_clamped_to_tasks_and_cpus(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps in process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(conditions, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(conditions.os, "cpu_count", lambda: 3)
+    params = ParameterTriple(3, 1, 2)
+    serial = verify_codim_lemma(params, trials=8, seed=5, jobs=1)
+    pair = verify_codim_lemma(params, trials=2, seed=5, jobs=5000)
+    assert pair.codimensions == serial.codimensions[:2]
+    assert verify_codim_lemma(params, trials=8, seed=5, jobs=5000) == serial
+    assert general_position_bound(1, 2, trials=1, seed=8, d_max=3, jobs=5000) == 3
+    assert sizes == [2, 3]
+    monkeypatch.setattr(conditions.os, "cpu_count", lambda: None)
+    assert verify_codim_lemma(params, trials=8, seed=5, jobs=5000) == serial
+    assert sizes == [2, 3]
+
+
 # --- scans -----------------------------------------------------------------------
 
 
 def test_regularity_scan_examples():
-    assert regularity_scan(plane_coords(), 8) == 3
-    assert regularity_scan(p1_pair(), 6) == 3
+    assert regularity_profile(plane_coords(), 8).stabilization_degree == 3
+    assert regularity_profile(p1_pair(), 6).stabilization_degree == 3
     single = PointConfiguration(1, ((1, 3),))
-    assert regularity_scan(single, 4) == 1
+    assert regularity_profile(single, 4).stabilization_degree == 1
 
 
 def test_regularity_scan_profile_values():
@@ -288,7 +319,7 @@ def test_regularity_scan_profile_values():
 
 def test_regularity_scan_requires_room():
     with pytest.raises(ValueError):
-        regularity_scan(p1_pair(), 3)
+        regularity_profile(p1_pair(), 3)
 
 
 def test_general_position_bound_examples():

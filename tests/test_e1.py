@@ -154,18 +154,12 @@ def test_stable_match_small_cases():
     assert dict(verify_stable_match(0).stratum_degrees) == {1: 1}
 
 
-def test_stable_match_through_configured_limit():
-    for n in range(0, 9):
+def test_stable_match_through_n_twelve():
+    for n in range(0, 13):
         report = verify_stable_match(n)
         assert report.matched, (n, report.missing, report.extra)
         assert report.weights_matched
         assert not report.missing and not report.extra
-
-
-def test_stable_match_limit_enforced():
-    with pytest.raises(ValueError):
-        verify_stable_match(9)
-    assert verify_stable_match(9, limit=10).matched
     with pytest.raises(ValueError):
         verify_stable_match(-1)
 

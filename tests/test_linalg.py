@@ -1,7 +1,5 @@
 """Exact linear algebra: rank engines agree and kernels annihilate."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,15 +7,13 @@ from stablecoh.linalg import (
     PRIME,
     ExactMatrix,
     bareiss_rank,
-    clear_denominators,
     integer_rank,
     kernel_basis,
     modular_rank,
     primitive_vector,
-    rref,
 )
 
-from oracles import sympy_rank
+from oracles import sympy_kernel_basis, sympy_rank
 
 
 def test_known_ranks():
@@ -47,22 +43,17 @@ def test_upper_bound_is_used_and_checked():
         integer_rank([[PRIME, 0], [0, PRIME]], upper=1)
 
 
-def test_clear_denominators():
-    row = [Fraction(1, 2), Fraction(2, 3), 1]
-    assert clear_denominators(row) == [3, 4, 6]
-    assert clear_denominators([1, -2, 0]) == [1, -2, 0]
-
-
 def test_primitive_vector():
-    assert primitive_vector([Fraction(1, 2), Fraction(-3, 4)]) == (2, -3)
     assert primitive_vector([4, 6, -2]) == (2, 3, -1)
+    assert primitive_vector([-2, 3]) == (-2, 3)
     assert primitive_vector([0, 0]) == (0, 0)
 
 
 def test_rref_pivots():
-    reduced, pivots = rref([[0, 1, 1], [0, 2, 2]])
-    assert pivots == [1]
-    assert reduced[0] == [0, 1, 1]
+    # Column 1 is the only pivot: columns 0 and 2 are free, in that order.
+    assert kernel_basis([[0, 1, 1], [0, 2, 2]], 3) == ((1, 0, 0), (0, -1, 1))
+    # The pivots are negative here; the free coordinate still comes out positive.
+    assert kernel_basis([[-3, 1, 2], [6, 0, 1]], 3) == ((-1, -15, 6),)
 
 
 def test_kernel_annihilates():
@@ -86,8 +77,9 @@ def test_exact_matrix_validation():
 
 
 def test_transpose_preserves_rank():
-    m = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert m.rank() == m.transpose().rank() == 2
+    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]]
+    transposed = list(zip(*rows))
+    assert ExactMatrix.from_rows(rows).rank() == ExactMatrix.from_rows(transposed).rank() == 2
 
 
 def matrices(entries):
@@ -110,8 +102,8 @@ near_prime_entries = st.builds(
 def test_rank_engines_agree(rows):
     direct = bareiss_rank(rows)
     certified = integer_rank(rows)
-    via_rref = len(rref(rows)[1])
-    assert direct == certified == via_rref
+    via_kernel = len(rows[0]) - len(kernel_basis(rows, len(rows[0])))
+    assert direct == certified == via_kernel
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -129,3 +121,10 @@ def test_kernel_dimension_complements_rank(rows):
     for v in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matrices(small_entries | st.integers(min_value=-10**12, max_value=10**12)))
+def test_kernel_basis_matches_sympy(rows):
+    n_cols = len(rows[0])
+    assert kernel_basis(rows, n_cols) == sympy_kernel_basis(rows)

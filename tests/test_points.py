@@ -1,9 +1,11 @@
 """Point configurations: validation, normalization, parsing, sampling."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stablecoh.points import (
     PointConfiguration,
@@ -12,7 +14,6 @@ from stablecoh.points import (
     collinear_configuration,
     coordinate_configuration,
     in_general_linear_position,
-    normalize_point,
     parse_points_json,
     random_configuration,
     random_general_position_configuration,
@@ -42,11 +43,25 @@ def test_wrong_length_rejected():
         PointConfiguration(2, ((1, 0),))
 
 
-def test_normalization_leftmost_one():
-    assert normalize_point((0, 3, 6)) == (0, 1, 2)
-    assert normalize_point((Fraction(-1, 2), 1)) == (1, -2)
-    cfg = PointConfiguration(1, ((2, 4), (0, 5))).normalized()
-    assert cfg.points == ((1, 2), (0, 1))
+def test_normal_form_is_primitive_with_positive_lead():
+    cfg = PointConfiguration(2, ((0, 3, 6), (Fraction(-1, 2), 1, 0),
+                                 (Fraction(1, 2), Fraction(2, 3), 1)))
+    assert cfg.integer_points == ((0, 1, 2), (1, -2, 0), (3, 4, 6))
+    assert cfg.points[1] == (Fraction(-1, 2), 1, 0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6), st.data())
+def test_rescaling_keeps_normal_form_and_echo(seed, data):
+    cfg = random_configuration(2, 4, random.Random(seed))
+    nonzero = st.fractions(min_value=-20, max_value=20, max_denominator=50).filter(bool)
+    scales = data.draw(st.lists(nonzero, min_size=4, max_size=4))
+    points = tuple(tuple(s * c for c in p) for s, p in zip(scales, cfg.points))
+    rescaled = PointConfiguration(2, points)
+    assert rescaled.integer_points == cfg.integer_points
+    assert rescaled.json_points() == [[str(c) for c in p] for p in points]
+    # The echo is the as-given text, which parses back to the same points.
+    assert parse_points_json(json.dumps(rescaled.json_points())) == rescaled
 
 
 def test_coordinate_configuration():
@@ -153,7 +168,5 @@ def test_parse_propagates_projective_validation():
 
 def test_json_points_roundtrip():
     cfg = PointConfiguration(1, ((Fraction(1, 2), 1), (1, 0)))
-    import json
-
     again = parse_points_json(json.dumps(cfg.json_points()))
     assert again == cfg
