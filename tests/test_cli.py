@@ -1,12 +1,14 @@
 """CLI contract: formats, exit codes, determinism, schema validation."""
 
+import argparse
 import json
+import os
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from stablecoh.cli import SEED_ENV_VAR, main
+from stablecoh.cli import SEED_ENV_VAR, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -246,3 +248,53 @@ def test_verify_lemma_table_output(capsys):
     assert "expected codimension: 4" in out
     assert "collinear probe at d=2" in out
     assert "verified: True" in out
+
+
+# Each subcommand's options in parser order: (flag, required, default, type,
+# choices). JOBS stands for the --jobs default, which is os.cpu_count().
+JOBS = object()
+FORMAT = ("--format", False, "table", None, ("json", "csv", "table"))
+OUTPUT = ("--output", False, None, None, None)
+JOBS_FLAG = ("--jobs", False, JOBS, "int", None)
+SEED = ("--seed", False, None, "int", None)
+
+
+def _int(flag, required=True, default=None):
+    return (flag, required, default, "int", None)
+
+
+POINTS_FLAGS = [_int("--n", False), _int("--N", False), ("--points", False, None, None, None)]
+ARGUMENT_SURFACE = {
+    "codim": [_int("--d")] + POINTS_FLAGS + [FORMAT, OUTPUT, JOBS_FLAG, SEED],
+    "verify-lemma": [_int("--d"), _int("--n"), _int("--N"), _int("--trials", False, 50),
+                     FORMAT, OUTPUT, JOBS_FLAG, SEED],
+    "hilbert": [_int("--d")] + POINTS_FLAGS + [FORMAT, OUTPUT, JOBS_FLAG, SEED],
+    "regularity": POINTS_FLAGS + [_int("--d-max", False), FORMAT, OUTPUT, JOBS_FLAG, SEED],
+    "d0-scan": [_int("--n"), _int("--N"), _int("--trials", False, 50),
+                _int("--d-max", False), FORMAT, OUTPUT, JOBS_FLAG, SEED],
+    "grassmann": [_int("--l"), _int("--n"), FORMAT, OUTPUT, JOBS_FLAG],
+    "config-homology": [_int("--l"), _int("--n"), FORMAT, OUTPUT, JOBS_FLAG],
+    "gl-cohomology": [_int("--n"), FORMAT, OUTPUT, JOBS_FLAG],
+    "e1-page": [_int("--d"), _int("--n"), _int("--N"), FORMAT, OUTPUT, JOBS_FLAG],
+    "stable-verify": [_int("--n"), FORMAT, OUTPUT, JOBS_FLAG],
+    "band": [_int("--d"), _int("--n"), _int("--N"), FORMAT, OUTPUT, JOBS_FLAG],
+    "stable-range": [_int("--d"), _int("--n"), FORMAT, OUTPUT, JOBS_FLAG],
+}
+
+
+def test_argument_surface():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(ARGUMENT_SURFACE)
+    jobs = os.cpu_count() or 1
+    for name, expected in ARGUMENT_SURFACE.items():
+        actual = [
+            (a.option_strings[0], a.required, a.default,
+             a.type.__name__ if a.type else None, a.choices)
+            for a in sub.choices[name]._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert actual == [
+            (flag, req, jobs if default is JOBS else default, typ, choices)
+            for flag, req, default, typ, choices in expected
+        ], name
