@@ -1,6 +1,8 @@
 """Command-line surface: reproducible, machine-readable verification runs.
 
-One subcommand per verifiable artifact. Every report embeds the parameters,
+One subcommand per verifiable artifact, declared in the COMMANDS table. Each
+handler returns one Report, which `emit` renders as JSON, CSV or a table, so
+all three formats live in this module. Every report embeds the parameters,
 the effective seed, and the library version; JSON output is byte-identical
 for identical (subcommand, flags, seed) regardless of --jobs, because trial
 seeds are derived up front and aggregation is order-independent. Exit codes
@@ -17,6 +19,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import dataclass
 
 from . import __version__
 from .conditions import (
@@ -38,7 +41,6 @@ from .e1 import (
 from .params import ParameterTriple
 from .points import (
     PointConfiguration,
-    PointsParseError,
     SamplingError,
     parse_points_json,
     random_configuration,
@@ -47,28 +49,23 @@ from .tables import gl_cohomology, grassmannian_poincare, twisted_config_bm
 
 SEED_ENV_VAR = "STABLECOH_SEED"
 
-COMMANDS = (
-    "codim",
-    "verify-lemma",
-    "hilbert",
-    "regularity",
-    "d0-scan",
-    "grassmann",
-    "config-homology",
-    "gl-cohomology",
-    "e1-page",
-    "stable-verify",
-    "band",
-    "stable-range",
-)
-
 
 class UsageError(Exception):
     """Invalid invocation detected after argparse; maps to exit code 2."""
 
 
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
+@dataclass(frozen=True)
+class Report:
+    """One subcommand's outcome: the JSON payload, CSV rows and table lines.
+
+    `ok` False means a checked property failed or a scan gave up (exit 1).
+    """
+
+    params: dict
+    payload: dict
+    csv_rows: list[tuple]
+    lines: list[str]
+    ok: bool = True
 
 
 def resolve_seed(flag_value: int | None) -> tuple[int, str]:
@@ -94,59 +91,54 @@ def resolve_seed(flag_value: int | None) -> tuple[int, str]:
 
 
 def load_configuration(args, seed: int) -> PointConfiguration:
-    """Points from --points (inline JSON or a file path), else sampled."""
-    if args.points is not None:
-        text = args.points
-        if not text.lstrip().startswith("["):
-            try:
-                with open(args.points, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise UsageError(f"cannot read points file: {exc}") from None
-        return parse_points_json(text)
-    if args.N is None:
-        raise UsageError("either --points or --N is required")
-    if args.n is None:
-        raise UsageError("--n is required when sampling points")
-    return random_configuration(args.n, args.N, random.Random(seed))
+    """Points from --points (inline JSON or a file path), else sampled.
+
+    --n and --N are optional next to --points, but must then agree with it.
+    """
+    if args.points is None:
+        if args.N is None:
+            raise UsageError("either --points or --N is required")
+        if args.n is None:
+            raise UsageError("--n is required when sampling points")
+        return random_configuration(args.n, args.N, random.Random(seed))
+    text = args.points
+    if not text.lstrip().startswith("["):
+        try:
+            with open(args.points, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read points file: {exc}") from None
+    config = parse_points_json(text)
+    if args.n is not None and args.n != config.dimension:
+        raise UsageError(f"--n {args.n} does not match points of dimension {config.dimension}")
+    if args.N is not None and args.N != config.count:
+        raise UsageError(f"--N {args.N} does not match the {config.count} points given")
+    return config
 
 
-# --- emission ----------------------------------------------------------------
-
-
-def _csv_text(rows: list[tuple]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _table_text(command: str, params: dict, seed: int, seed_source: str, lines: list[str]) -> str:
-    header = [
-        f"stablecoh {__version__} {command}",
-        "params: " + (" ".join(f"{k}={v}" for k, v in params.items()) or "(none)"),
-        f"seed: {seed} ({seed_source})",
-    ]
-    return "\n".join(header + lines) + "\n"
-
-
-def emit(args, command: str, params: dict, seed: int, seed_source: str,
-         payload: dict, csv_rows: list[tuple], table_lines: list[str]) -> None:
+def emit(args, seed: int, seed_source: str, report: Report) -> None:
     if args.format == "json":
         envelope = {
             "artifact": "stablecoh",
             "version": __version__,
-            "command": command,
-            "params": params,
+            "command": args.command,
+            "params": report.params,
             "seed": seed,
             "seed_source": seed_source,
-            "report": payload,
+            "report": report.payload,
         }
         text = json.dumps(envelope, indent=2) + "\n"
     elif args.format == "csv":
-        text = _csv_text(csv_rows)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(report.csv_rows)
+        text = buf.getvalue()
     else:
-        text = _table_text(command, params, seed, seed_source, table_lines)
+        header = [
+            f"stablecoh {__version__} {args.command}",
+            "params: " + (" ".join(f"{k}={v}" for k, v in report.params.items()) or "(none)"),
+            f"seed: {seed} ({seed_source})",
+        ]
+        text = "\n".join(header + report.lines) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -154,14 +146,29 @@ def emit(args, command: str, params: dict, seed: int, seed_source: str,
         sys.stdout.write(text)
 
 
+def _failed(params: dict, payload: dict) -> Report:
+    """Report of a scan that gave up; payload["error"] holds the reason."""
+    error = payload["error"]
+    return Report(params, payload, [("error",), (error,)], [f"error: {error}"], ok=False)
+
+
+def _table_report(params: dict, payload: dict, table, *, total_line: bool = False) -> Report:
+    """Report of one graded table: a degree/dim/tate row and line per component."""
+    rows = table.csv_rows()
+    total = table.total_dimension()
+    lines = [f"degree {deg}: dim {dim}, tate {tate}" for deg, dim, tate in rows]
+    if total_line:
+        lines.append(f"total dimension: {total}")
+    return Report(params, {**payload, "total_dim": total},
+                  [("degree", "dim", "tate")] + rows, lines)
+
+
 # --- subcommand handlers ------------------------------------------------------
 
 
-def cmd_codim(args, seed, seed_source):
+def cmd_codim(args, seed):
     config = load_configuration(args, seed)
     n, N = config.dimension, config.count
-    if args.n is not None and args.n != n:
-        raise UsageError(f"--n {args.n} does not match points of dimension {n}")
     value = codimension(args.d, config)
     expected = N * (n + 1)
     payload = {
@@ -176,14 +183,13 @@ def cmd_codim(args, seed, seed_source):
     params = {"d": args.d, "n": n, "N": N}
     csv_rows = [("d", "n", "N", "codimension", "expected"), (args.d, n, N, value, expected)]
     lines = [f"codimension: {value}", f"expected N(n+1): {expected}"]
-    return params, payload, csv_rows, lines, 0
+    return Report(params, payload, csv_rows, lines)
 
 
-def cmd_verify_lemma(args, seed, seed_source):
+def cmd_verify_lemma(args, seed):
     params_t = ParameterTriple(args.d, args.n, args.N)
     report = verify_codim_lemma(params_t, args.trials, seed, jobs=args.jobs)
-    payload = report.to_json_obj()
-    payload["trials"] = args.trials
+    payload = {**report.to_json_obj(), "trials": args.trials}
     params = {"d": args.d, "n": args.n, "N": args.N, "trials": args.trials}
     csv_rows = [("trial", "codimension", "ok")] + [
         (i, v, v == report.expected) for i, v in enumerate(report.codimensions)
@@ -201,10 +207,10 @@ def cmd_verify_lemma(args, seed, seed_source):
             f"(ceiling {pr.max_allowed}, line bound {pr.line_bound})"
         )
     lines.append(f"verified: {report.verified}")
-    return params, payload, csv_rows, lines, 0 if report.verified else 1
+    return Report(params, payload, csv_rows, lines, report.verified)
 
 
-def cmd_hilbert(args, seed, seed_source):
+def cmd_hilbert(args, seed):
     config = load_configuration(args, seed)
     n, N = config.dimension, config.count
     symbolic = hilbert_function(args.d, config, "symbolic")
@@ -221,30 +227,21 @@ def cmd_hilbert(args, seed, seed_source):
     params = {"d": args.d, "n": n, "N": N}
     csv_rows = [("d", "symbolic", "ordinary"), (args.d, symbolic, ordinary)]
     lines = [f"symbolic: {symbolic}", f"ordinary: {ordinary}", f"agree: {symbolic == ordinary}"]
-    return params, payload, csv_rows, lines, 0
+    return Report(params, payload, csv_rows, lines)
 
 
-def cmd_regularity(args, seed, seed_source):
+def cmd_regularity(args, seed):
     config = load_configuration(args, seed)
     n, N = config.dimension, config.count
     d_max = args.d_max if args.d_max is not None else 2 * N + 3
     params = {"n": n, "N": N, "d_max": d_max}
+    head = {"n": n, "N": N, "points": config.json_points(), "d_max": d_max}
     try:
         scan = regularity_profile(config, d_max)
     except StabilizationError as exc:
-        payload = {
-            "n": n,
-            "N": N,
-            "points": config.json_points(),
-            "d_max": d_max,
-            "error": str(exc),
-        }
-        return params, payload, [("error",), (str(exc),)], [f"error: {exc}"], 1
+        return _failed(params, {**head, "error": str(exc)})
     payload = {
-        "n": n,
-        "N": N,
-        "points": config.json_points(),
-        "d_max": d_max,
+        **head,
         "target": scan.target,
         "stabilization_degree": scan.stabilization_degree,
         "bound": 2 * N - 1,
@@ -256,19 +253,16 @@ def cmd_regularity(args, seed, seed_source):
         f"stabilization degree: {scan.stabilization_degree} (bound {2 * N - 1})",
         f"stable value: {scan.target}",
     ]
-    return params, payload, csv_rows, lines, 0
+    return Report(params, payload, csv_rows, lines)
 
 
-def cmd_d0_scan(args, seed, seed_source):
+def cmd_d0_scan(args, seed):
     d_max = args.d_max if args.d_max is not None else 2 * args.N - 1
     params = {"n": args.n, "N": args.N, "trials": args.trials, "d_max": d_max}
     try:
-        d0 = general_position_bound(
-            args.n, args.N, args.trials, seed, d_max, jobs=args.jobs
-        )
+        d0 = general_position_bound(args.n, args.N, args.trials, seed, d_max, jobs=args.jobs)
     except (StabilizationError, SamplingError) as exc:
-        payload = {"error": str(exc), "d_max": d_max, "empirical": True}
-        return params, payload, [("error",), (str(exc),)], [f"error: {exc}"], 1
+        return _failed(params, {"error": str(exc), "d_max": d_max, "empirical": True})
     payload = {
         "d0": d0,
         "d_max": d_max,
@@ -277,39 +271,23 @@ def cmd_d0_scan(args, seed, seed_source):
     }
     csv_rows = [("d0", "guaranteed_bound"), (d0, 2 * args.N - 1)]
     lines = [f"empirical general-position degree: {d0} (guaranteed {2 * args.N - 1})"]
-    return params, payload, csv_rows, lines, 0
+    return Report(params, payload, csv_rows, lines)
 
 
-def cmd_grassmann(args, seed, seed_source):
+def cmd_grassmann(args, seed):
     table = grassmannian_poincare(args.l, args.n)
-    payload = {
-        "l": args.l,
-        "n": args.n,
-        "table": table.to_json_obj(),
-        "total_dim": table.total_dimension(),
-    }
     params = {"l": args.l, "n": args.n}
-    csv_rows = [("degree", "dim", "tate")] + table.csv_rows()
-    lines = [f"degree {deg}: dim {dim}, tate {tate}" for deg, dim, tate in table.csv_rows()]
-    lines.append(f"total dimension: {table.total_dimension()}")
-    return params, payload, csv_rows, lines, 0
+    return _table_report(params, {**params, "table": table.to_json_obj()}, table,
+                         total_line=True)
 
 
-def cmd_config_homology(args, seed, seed_source):
+def cmd_config_homology(args, seed):
     table = twisted_config_bm(args.l, args.n)
-    payload = {
-        "l": args.l,
-        "n": args.n,
-        "table": table.to_json_obj(),
-        "total_dim": table.total_dimension(),
-    }
     params = {"l": args.l, "n": args.n}
-    csv_rows = [("degree", "dim", "tate")] + table.csv_rows()
-    lines = [f"degree {deg}: dim {dim}, tate {tate}" for deg, dim, tate in table.csv_rows()]
-    return params, payload, csv_rows, lines, 0
+    return _table_report(params, {**params, "table": table.to_json_obj()}, table)
 
 
-def cmd_gl_cohomology(args, seed, seed_source):
+def cmd_gl_cohomology(args, seed):
     generators, table = gl_cohomology(args.n)
     payload = {
         "n": args.n,
@@ -318,19 +296,13 @@ def cmd_gl_cohomology(args, seed, seed_source):
             for g in generators
         ],
         "table": table.to_json_multi(),
-        "total_dim": table.total_dimension(),
     }
-    params = {"n": args.n}
-    csv_rows = [("degree", "dim", "tate")] + table.csv_rows()
-    lines = [f"degree {deg}: dim {dim}, tate {tate}" for deg, dim, tate in table.csv_rows()]
-    return params, payload, csv_rows, lines, 0
+    return _table_report({"n": args.n}, payload, table)
 
 
-def cmd_e1_page(args, seed, seed_source):
+def cmd_e1_page(args, seed):
     page = assemble_e1(ParameterTriple(args.d, args.n, args.N))
-    dual = alexander_dual(page)
-    payload = page.to_json_obj()
-    payload["dual"] = dual.to_json_multi()
+    payload = {**page.to_json_obj(), "dual": alexander_dual(page).to_json_multi()}
     params = {"d": args.d, "n": args.n, "N": args.N}
     csv_rows = [("l", "bm_degree", "dual_degree", "dim", "weight")] + [
         (cls.column, cls.bm_degree, cls.dual_degree, cls.dim, cls.weight)
@@ -341,13 +313,11 @@ def cmd_e1_page(args, seed, seed_source):
         "supported BM degrees: " + ",".join(str(x) for x in page.supported_degrees()),
         f"guaranteed regime: {page.guaranteed}",
     ]
-    return params, payload, csv_rows, lines, 0
+    return Report(params, payload, csv_rows, lines)
 
 
-def cmd_stable_verify(args, seed, seed_source):
+def cmd_stable_verify(args, seed):
     report = verify_stable_match(args.n)
-    payload = report.to_json_obj()
-    params = {"n": args.n}
     all_degrees = sorted(set(report.stratum_degrees) | set(report.gl_degrees))
     csv_rows = [("degree", "stratum_dim", "gl_dim")] + [
         (k, report.stratum_degrees.get(k, 0), report.gl_degrees.get(k, 0))
@@ -358,12 +328,11 @@ def cmd_stable_verify(args, seed, seed_source):
         "gl degrees:      " + ",".join(map(str, report.gl_degrees)),
         f"matched: {report.matched} (weights: {report.weights_matched})",
     ]
-    return params, payload, csv_rows, lines, 0 if report.matched else 1
+    return Report({"n": args.n}, report.to_json_obj(), csv_rows, lines, report.matched)
 
 
-def cmd_band(args, seed, seed_source):
+def cmd_band(args, seed):
     report = vanishing_band(ParameterTriple(args.d, args.n, args.N))
-    payload = report.to_json_obj()
     params = {"d": args.d, "n": args.n, "N": args.N}
     lo, hi = report.bm_window
     csv_rows = [("bm_degree", "in_forbidden_window")] + [
@@ -375,13 +344,11 @@ def cmd_band(args, seed, seed_source):
         "supports: " + ",".join(map(str, report.supports)),
         f"verified: {report.verified}",
     ]
-    return params, payload, csv_rows, lines, 0 if report.verified else 1
+    return Report(params, report.to_json_obj(), csv_rows, lines, report.verified)
 
 
-def cmd_stable_range(args, seed, seed_source):
+def cmd_stable_range(args, seed):
     report = stable_range_report(args.d, args.n)
-    payload = report.to_json_obj()
-    params = {"d": args.d, "n": args.n}
     csv_rows = [("degree", "dim", "tate", "weight", "factors")]
     for row in report.rows:
         if row.components:
@@ -390,24 +357,49 @@ def cmd_stable_range(args, seed, seed_source):
         else:
             csv_rows.append((row.degree, 0, "", "", ""))
     lines = [f"stable band: k <= {report.max_stable_degree} (N = {report.N})"]
-    for row in report.rows:
-        lines.append(f"H^{row.degree}: dim {row.dim}")
-    return params, payload, csv_rows, lines, 0
+    lines += [f"H^{row.degree}: dim {row.dim}" for row in report.rows]
+    return Report({"d": args.d, "n": args.n}, report.to_json_obj(), csv_rows, lines)
 
 
-_HANDLERS = {
-    "codim": cmd_codim,
-    "verify-lemma": cmd_verify_lemma,
-    "hilbert": cmd_hilbert,
-    "regularity": cmd_regularity,
-    "d0-scan": cmd_d0_scan,
-    "grassmann": cmd_grassmann,
-    "config-homology": cmd_config_homology,
-    "gl-cohomology": cmd_gl_cohomology,
-    "e1-page": cmd_e1_page,
-    "stable-verify": cmd_stable_verify,
-    "band": cmd_band,
-    "stable-range": cmd_stable_range,
+# --- the command table --------------------------------------------------------
+
+
+def _ints(*flags: str, required: bool = True) -> tuple:
+    return tuple((flag, {"type": int, "required": required}) for flag in flags)
+
+
+_POINTS = _ints("--n", "--N", required=False) + (
+    ("--points", {"help": "JSON file path or inline JSON array"}),
+)
+_TRIALS = (("--trials", {"type": int, "default": 50}),)
+_D_MAX = _ints("--d-max", required=False)
+
+# name -> (handler, help, flags beyond --format/--output/--jobs, takes --seed)
+COMMANDS = {
+    "codim": (cmd_codim, "codimension of singularity conditions",
+              _ints("--d") + _POINTS, True),
+    "verify-lemma": (cmd_verify_lemma, "randomized codimension check plus sharpness probe",
+                     _ints("--d", "--n", "--N") + _TRIALS, True),
+    "hilbert": (cmd_hilbert, "symbolic and ordinary Hilbert values",
+                _ints("--d") + _POINTS, True),
+    "regularity": (cmd_regularity, "stabilization degree of the symbolic Hilbert value",
+                   _POINTS + _D_MAX, True),
+    "d0-scan": (cmd_d0_scan, "empirical general-position degree bound",
+                _ints("--n", "--N") + _TRIALS + _D_MAX, True),
+    "grassmann": (cmd_grassmann, "Poincare table of a complex Grassmannian",
+                  _ints("--l", "--n"), False),
+    "config-homology": (cmd_config_homology, "twisted Borel-Moore table of point configurations",
+                        _ints("--l", "--n"), False),
+    "gl-cohomology": (cmd_gl_cohomology, "exterior-algebra table of GL_{n+1}(C)",
+                      _ints("--n"), False),
+    "e1-page": (cmd_e1_page, "assembled first page and its Alexander dual",
+                _ints("--d", "--n", "--N"), False),
+    "stable-verify": (cmd_stable_verify, "dual-degree multiset versus the GL table",
+                      _ints("--n"), False),
+    "band": (cmd_band, "vanishing of the band between (n+1)^2 and N",
+             _ints("--d", "--n", "--N"), False),
+    "stable-range": (cmd_stable_range, "stable-band predictions for fixed (d, n)",
+                     _ints("--d", "--n"), False),
 }
 
 
@@ -418,107 +410,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"stablecoh {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, seedable=True):
+    for name, (_, help_text, flags, seeded) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
         p.add_argument("--format", choices=("json", "csv", "table"), default="table")
         p.add_argument("--output", default=None, help="write the report to this path")
-        p.add_argument("--jobs", type=int, default=_default_jobs(),
+        # Accepted everywhere; only verify-lemma and d0-scan start workers.
+        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                        help="worker processes for independent trials")
-        if seedable:
+        if seeded:
             p.add_argument("--seed", type=int, default=None,
                            help=f"RNG seed (default 0, or ${SEED_ENV_VAR})")
-
-    p = sub.add_parser("codim", help="codimension of singularity conditions")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--points", default=None, help="JSON file path or inline JSON array")
-    common(p)
-
-    p = sub.add_parser("verify-lemma", help="randomized codimension check plus sharpness probe")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--trials", type=int, default=50)
-    common(p)
-
-    p = sub.add_parser("hilbert", help="symbolic and ordinary Hilbert values")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--points", default=None)
-    common(p)
-
-    p = sub.add_parser("regularity", help="stabilization degree of the symbolic Hilbert value")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--points", default=None)
-    p.add_argument("--d-max", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("d0-scan", help="empirical general-position degree bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--d-max", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("grassmann", help="Poincare table of a complex Grassmannian")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p, seedable=False)
-
-    p = sub.add_parser("config-homology", help="twisted Borel-Moore table of point configurations")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p, seedable=False)
-
-    p = sub.add_parser("gl-cohomology", help="exterior-algebra table of GL_{n+1}(C)")
-    p.add_argument("--n", type=int, required=True)
-    common(p, seedable=False)
-
-    p = sub.add_parser("e1-page", help="assembled first page and its Alexander dual")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    common(p, seedable=False)
-
-    p = sub.add_parser("stable-verify", help="dual-degree multiset versus the GL table")
-    p.add_argument("--n", type=int, required=True)
-    common(p, seedable=False)
-
-    p = sub.add_parser("band", help="vanishing of the band between (n+1)^2 and N")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    common(p, seedable=False)
-
-    p = sub.add_parser("stable-range", help="stable-band predictions for fixed (d, n)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p, seedable=False)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.jobs < 1:
             raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         seed, seed_source = resolve_seed(getattr(args, "seed", None))
-        handler = _HANDLERS[args.command]
-        params, payload, csv_rows, table_lines, code = handler(args, seed, seed_source)
-        emit(args, args.command, params, seed, seed_source, payload, csv_rows, table_lines)
-        return code
-    except (UsageError, PointsParseError) as exc:
-        print(f"stablecoh: error: {exc}", file=sys.stderr)
-        return 2
+        report = COMMANDS[args.command][0](args, seed)
+        emit(args, seed, seed_source, report)
+        return 0 if report.ok else 1
     except SamplingError as exc:
         print(f"stablecoh: sampling failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:  # PointsParseError is a ValueError
         print(f"stablecoh: error: {exc}", file=sys.stderr)
         return 2
 

@@ -360,15 +360,15 @@ def regularity_profile(config: PointConfiguration, d_max: int) -> RegularityScan
     )
 
 
-def _gp_trial(args: tuple[int, int, int]) -> tuple:
-    n, N, trial_seed = args
+def _first_full_degree(args: tuple[int, int, int, int]) -> int | None:
+    """First d <= d_max at which one sampled configuration has codimension N(n+1), or None."""
+    n, N, d_max, trial_seed = args
     config = random_general_position_configuration(n, N, random.Random(trial_seed))
-    return config.points
-
-
-def _config_codim(args: tuple[int, int, tuple]) -> int:
-    d, n, points = args
-    return codimension(d, PointConfiguration(n, points))
+    expected = N * (n + 1)
+    for d in range(1, d_max + 1):
+        if coefficient_space_dim(d, n) >= expected and codimension(d, config) == expected:
+            return d
+    return None
 
 
 def general_position_bound(
@@ -390,16 +390,15 @@ def general_position_bound(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
-    args_list = [(n, N, s) for s in derive_trial_seeds(seed, trials)]
-    configs = _map_trials(_gp_trial, args_list, jobs)
-    expected = N * (n + 1)
-    for d in range(1, d_max + 1):
-        if coefficient_space_dim(d, n) < expected:
-            continue
-        codims = _map_trials(_config_codim, [(d, n, pts) for pts in configs], jobs)
-        if all(c == expected for c in codims):
-            return d
-    raise StabilizationError(
-        f"no degree <= {d_max} gave codimension {expected} on all {trials} "
-        f"general-position samples"
-    )
+    args_list = [(n, N, d_max, s) for s in derive_trial_seeds(seed, trials)]
+    # The codimension is the Hilbert function of the zero-dimensional scheme
+    # of double points, which never decreases in d and never exceeds N(n+1).
+    # A configuration that reaches N(n+1) therefore keeps it, and the first
+    # degree good for every trial is the largest of the trials' first degrees.
+    firsts = _map_trials(_first_full_degree, args_list, jobs)
+    if None in firsts:
+        raise StabilizationError(
+            f"no degree <= {d_max} gave codimension {N * (n + 1)} on all {trials} "
+            f"general-position samples"
+        )
+    return max(firsts)

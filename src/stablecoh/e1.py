@@ -28,13 +28,6 @@ class StratumSupport:
     bm_table: GradedTateVector
     degree_range: tuple[int, int]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "column": self.column,
-            "bm": self.bm_table.to_json_obj(),
-            "range": list(self.degree_range),
-        }
-
 
 @dataclass(frozen=True)
 class E1Page:

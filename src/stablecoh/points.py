@@ -94,9 +94,6 @@ class PointConfiguration:
     def count(self) -> int:
         return len(self.points)
 
-    def permuted(self, order: Sequence[int]) -> "PointConfiguration":
-        return PointConfiguration(self.dimension, tuple(self.points[i] for i in order))
-
     def json_points(self) -> list[list[str]]:
         """The as-given coordinates as 'p' or 'p/q' strings, the on-disk interchange form."""
         return [[str(c) for c in point] for point in self.points]

@@ -11,7 +11,6 @@ Conventions, fixed here once and reused everywhere downstream:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -78,12 +77,6 @@ class GradedTateVector:
 
     def total_dimension(self) -> int:
         return sum(dim for comps in self._entries.values() for dim, _ in comps)
-
-    def is_pure(self) -> bool:
-        return all(len(comps) == 1 for comps in self._entries.values())
-
-    def degree_multiset(self) -> Counter:
-        return Counter({deg: self.dimension(deg) for deg in self._entries})
 
     def iter_components(self) -> Iterator[tuple[int, int, int]]:
         for degree, comps in self._entries.items():

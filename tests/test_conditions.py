@@ -11,6 +11,7 @@ from stablecoh import conditions, linalg
 from stablecoh.conditions import (
     StabilizationError,
     codimension,
+    derive_trial_seeds,
     general_position_bound,
     hilbert_function,
     ideal_degree_part,
@@ -25,6 +26,7 @@ from stablecoh.linalg import bareiss_rank
 from stablecoh.params import ParameterTriple
 from stablecoh.points import (
     PointConfiguration,
+    collinear_configuration,
     coordinate_configuration,
     random_configuration,
 )
@@ -130,11 +132,8 @@ def test_codimension_invariant_under_scaling_and_permutation(n, N, d, seed, data
     )
     order = data.draw(st.permutations(range(N)))
     rescaled = PointConfiguration(
-        n,
-        tuple(
-            tuple(scales[j] * c for c in cfg.points[j]) for j in range(N)
-        ),
-    ).permuted(order)
+        n, tuple(tuple(scales[j] * c for c in cfg.points[j]) for j in order)
+    )
     assert codimension(d, rescaled) == base
 
 
@@ -268,7 +267,9 @@ def test_verify_lemma_deterministic_and_parallel_identical():
     assert a == b == c
 
 
-def test_pool_size_is_clamped_to_tasks_and_cpus(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap the process pool for an in-process stand-in; returns the sizes asked for."""
     sizes = []
 
     class RecordingPool:
@@ -287,6 +288,10 @@ def test_pool_size_is_clamped_to_tasks_and_cpus(monkeypatch):
             return map(fn, iterable)
 
     monkeypatch.setattr(conditions, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_pool_size_is_clamped_to_tasks_and_cpus(monkeypatch, pool_sizes):
     monkeypatch.setattr(conditions.os, "cpu_count", lambda: 3)
     params = ParameterTriple(3, 1, 2)
     serial = verify_codim_lemma(params, trials=8, seed=5, jobs=1)
@@ -294,10 +299,10 @@ def test_pool_size_is_clamped_to_tasks_and_cpus(monkeypatch):
     assert pair.codimensions == serial.codimensions[:2]
     assert verify_codim_lemma(params, trials=8, seed=5, jobs=5000) == serial
     assert general_position_bound(1, 2, trials=1, seed=8, d_max=3, jobs=5000) == 3
-    assert sizes == [2, 3]
+    assert pool_sizes == [2, 3]
     monkeypatch.setattr(conditions.os, "cpu_count", lambda: None)
     assert verify_codim_lemma(params, trials=8, seed=5, jobs=5000) == serial
-    assert sizes == [2, 3]
+    assert pool_sizes == [2, 3]
 
 
 # --- scans -----------------------------------------------------------------------
@@ -331,3 +336,50 @@ def test_general_position_bound_examples():
 def test_general_position_bound_exhaustion():
     with pytest.raises(StabilizationError):
         general_position_bound(1, 2, trials=3, seed=8, d_max=2)
+
+
+def per_degree_scan(n, N, trials, seed, d_max):
+    """Brute force: every trial at every degree, lowest degree first; None if none works."""
+    configs = [
+        conditions.random_general_position_configuration(n, N, random.Random(s))
+        for s in derive_trial_seeds(seed, trials)
+    ]
+    for d in range(1, d_max + 1):
+        if all(codimension(d, c) == N * (n + 1) for c in configs):
+            return d
+    return None
+
+
+def bound_or_none(n, N, trials, seed, d_max, jobs=1):
+    try:
+        return general_position_bound(n, N, trials, seed, d_max, jobs=jobs)
+    except StabilizationError:
+        return None
+
+
+def test_general_position_bound_matches_per_degree_scan(monkeypatch):
+    cases = [(1, 2, 3, 2, 4), (2, 3, 4, 1, 5), (2, 4, 3, 0, 7), (3, 4, 2, 5, 7),
+             (2, 5, 2, 3, 9), (1, 2, 2, 1, 2), (2, 4, 3, 0, 3)]
+    for case in cases:
+        assert bound_or_none(*case) == per_degree_scan(*case), case
+    # Sampled configurations all share one first degree, so mix in collinear
+    # ones (first degree 2N-1): only the maximum over trials matches the scan.
+    sample = conditions.random_general_position_configuration
+
+    def mixed(n, N, rng):
+        config = sample(n, N, rng)
+        return collinear_configuration(n, N) if rng.getrandbits(1) else config
+
+    monkeypatch.setattr(conditions, "random_general_position_configuration", mixed)
+    firsts = {conditions._first_full_degree((2, 4, 7, s)) for s in derive_trial_seeds(3, 6)}
+    assert firsts == {4, 7}
+    for d_max in (6, 7, 9):
+        assert bound_or_none(2, 4, 6, 3, d_max) == per_degree_scan(2, 4, 6, 3, d_max)
+    assert bound_or_none(2, 4, 6, 3, 9) == 7
+
+
+def test_general_position_bound_starts_one_pool(monkeypatch, pool_sizes):
+    serial = general_position_bound(2, 3, trials=6, seed=4, d_max=5, jobs=1)
+    monkeypatch.setattr(conditions.os, "cpu_count", lambda: 4)
+    assert general_position_bound(2, 3, trials=6, seed=4, d_max=5, jobs=2) == serial
+    assert pool_sizes == [2]

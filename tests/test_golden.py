@@ -59,6 +59,8 @@ USAGE_ERRORS = {
     "negative-seed": ["codim", "--d", "3", "--n", "1", "--N", "2", "--seed", "-1"],
     "jobs-zero": ["verify-lemma", "--d", "3", "--n", "1", "--N", "2", "--jobs", "0"],
     "dimension-mismatch": ["codim", "--d", "3", "--n", "3", "--points", POINTS],
+    "hilbert-dimension-mismatch": ["hilbert", "--d", "3", "--n", "5", "--points", POINTS],
+    "regularity-count-mismatch": ["regularity", "--N", "9", "--points", POINTS],
     "bad-token": ["hilbert", "--d", "3", "--points", '[["1", "0"], ["1/2", "x"]]'],
     "duplicate-points": ["regularity", "--points", '[["1", "2"], ["-1/2", "-1"]]'],
     "tiny-degree": ["stable-range", "--d", "2", "--n", "1"],

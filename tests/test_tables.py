@@ -58,14 +58,13 @@ def test_graded_tate_merges_components():
     t = GradedTateVector.from_components([(2, 1, 1), (2, 2, 1), (0, 1, 0)])
     assert t.entries == {0: ((1, 0),), 2: ((3, 1),)}
     assert t.total_dimension() == 4
-    assert t.is_pure()
+    assert all(len(t.components(deg)) == 1 for deg in t.degrees())
 
 
 def test_graded_tate_keeps_distinct_twists_apart():
     t = GradedTateVector.from_components([(9, 1, -5), (9, 1, -6)])
     assert t.components(9) == ((1, -6), (1, -5))
     assert t.dimension(9) == 2
-    assert not t.is_pure()
     with pytest.raises(ValueError):
         t.single(9)
     with pytest.raises(ValueError):
