@@ -28,6 +28,34 @@ def run_cli(capsys, argv):
     return code, captured.out
 
 
+JSON_INVOCATIONS = [
+    ["codim", "--d", "3", "--n", "1", "--N", "2", "--seed", "4"],
+    ["codim", "--d", "3", "--points", '[["1","0","0"],["0","1","0"],["0","0","1"]]'],
+    ["verify-lemma", "--d", "3", "--n", "1", "--N", "2", "--trials", "5", "--seed", "7"],
+    ["hilbert", "--d", "3", "--points", '[["1","0","0"],["0","1","0"],["0","0","1"]]'],
+    ["regularity", "--n", "1", "--N", "2", "--seed", "2", "--d-max", "5"],
+    ["d0-scan", "--n", "1", "--N", "2", "--trials", "3", "--seed", "2", "--d-max", "4"],
+    ["grassmann", "--l", "2", "--n", "3"],
+    ["config-homology", "--l", "2", "--n", "1"],
+    ["gl-cohomology", "--n", "4"],
+    ["e1-page", "--d", "19", "--n", "1", "--N", "10"],
+    ["stable-verify", "--n", "2"],
+    ["band", "--d", "19", "--n", "1", "--N", "10"],
+    ["stable-range", "--d", "5", "--n", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_INVOCATIONS, ids=lambda a: " ".join(a[:3]))
+def test_json_reports_validate_against_schema(capsys, validator, argv):
+    code, out = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    validator.validate(doc)
+    assert doc["artifact"] == "stablecoh"
+    assert doc["command"] == argv[0]
+    assert "seed" in doc and "params" in doc
+
+
 def test_golden_json_reports_match_schema(validator):
     # The golden reports pin every subcommand's bytes, so validating them keeps
     # the hand-kept schema from drifting away from the CLI.
