@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import prod
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, integer_rank, kernel_basis, modular_rank
 from .monomials import enumerate_monomials, monomial_index
 from .params import ParameterTriple, coefficient_space_dim
 from .points import (
@@ -31,11 +31,21 @@ class StabilizationError(RuntimeError):
     """A scan failed to reach the expected stable value within its degree budget."""
 
 
-def _power_table(coord: int, d: int) -> list[int]:
-    pows = [1] * (d + 1)
-    for e in range(1, d + 1):
-        pows[e] = pows[e - 1] * coord
-    return pows
+# Most entries a matrix may have: about 100 MB of 70-160-bit integers, and
+# about 50 times the largest benchmark matrix (30 x 1365). Larger problems
+# raise ValueError (exit 2 in the CLI) instead of exhausting memory.
+MAX_MATRIX_ENTRIES = 2_000_000
+
+
+def _check_size(rows: int, cols: int) -> None:
+    if rows * cols > MAX_MATRIX_ENTRIES:
+        raise ValueError(f"problem too large: {rows} x {cols} exceeds {MAX_MATRIX_ENTRIES} entries")
+
+
+def _monomial_values(point: tuple[int, ...], e: int, n: int) -> list[int]:
+    """Values at an integer point of the degree-e monomials, in graded-lex order."""
+    pows = [[c**k for k in range(e + 1)] for c in point]
+    return [prod(p[k] for p, k in zip(pows, exps)) for exps in enumerate_monomials(e, n)]
 
 
 def singularity_matrix(d: int, config: PointConfiguration) -> ExactMatrix:
@@ -44,35 +54,36 @@ def singularity_matrix(d: int, config: PointConfiguration) -> ExactMatrix:
     One row per (point, partial derivative) pair, one column per degree-d
     monomial in graded-lex order; the entry is the derivative of the column
     monomial evaluated at the normal form of the row point, so every entry is
-    an integer. The kernel is the degree-d part of the forms vanishing to
-    order >= 2 at each configuration point, so the rank is the codimension of
-    that space inside all degree-d forms.
+    an integer. By the rule d/dx_i x^e = e_i x^(e - eps_i), it is e_i times
+    the value of one degree-(d-1) monomial, or 0 when e_i = 0. The kernel is
+    the degree-d part of the forms vanishing to order >= 2 at each
+    configuration point, so the rank is the codimension of that space inside
+    all degree-d forms.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     n = config.dimension
+    _check_size(config.count * (n + 1), coefficient_space_dim(d, n))
     mons = enumerate_monomials(d, n)
+    lower = monomial_index(d - 1, n)
+    # Per row i, each column's e_i and the position of e - eps_i in degree d-1
+    # (0 if e_i = 0): two lists of shared ints, smaller than a pair per entry.
+    derivative = []
+    for i in range(n + 1):
+        coeffs = [e[i] for e in mons]
+        positions = [lower[e[:i] + (e[i] - 1,) + e[i + 1:]] if e[i] else 0 for e in mons]
+        derivative.append((coeffs, positions))
     rows = []
     for point in config.integer_points:
-        pows = [_power_table(c, d) for c in point]
-        for i in range(n + 1):
-            row = []
-            for e in mons:
-                ei = e[i]
-                if ei == 0:
-                    row.append(0)
-                    continue
-                value = ei
-                for v, ev in enumerate(e):
-                    value = value * pows[v][ev - 1 if v == i else ev]
-                row.append(value)
-            rows.append(row)
+        values = _monomial_values(point, d - 1, n)
+        for coeffs, positions in derivative:
+            rows.append([k * values[j] for k, j in zip(coeffs, positions)])
     return ExactMatrix.from_rows(rows, len(mons))
 
 
 def codimension(d: int, config: PointConfiguration) -> int:
     """Number of independent conditions the singularities impose in degree d."""
-    return singularity_matrix(d, config).rank()
+    return integer_rank(singularity_matrix(d, config).entries)
 
 
 def symbolic_square_dim(d: int, config: PointConfiguration) -> int:
@@ -82,24 +93,26 @@ def symbolic_square_dim(d: int, config: PointConfiguration) -> int:
 
 def symbolic_square_basis(d: int, config: PointConfiguration) -> tuple[tuple[int, ...], ...]:
     """Primitive integer basis of the order-two vanishing forms in degree d."""
-    return singularity_matrix(d, config).kernel_basis()
+    matrix = singularity_matrix(d, config)
+    return kernel_basis(matrix.entries, matrix.cols)
 
 
 def evaluation_matrix(e: int, config: PointConfiguration) -> ExactMatrix:
     """N x comb(e+n, n) matrix of monomial values at the points' normal forms."""
-    mons = enumerate_monomials(e, config.dimension)
-    rows = []
-    for point in config.integer_points:
-        pows = [_power_table(c, e) for c in point]
-        rows.append([prod(p[k] for p, k in zip(pows, exps)) for exps in mons])
-    return ExactMatrix.from_rows(rows, len(mons))
+    n = config.dimension
+    cols = coefficient_space_dim(e, n)
+    _check_size(config.count, cols)
+    return ExactMatrix.from_rows(
+        (_monomial_values(point, e, n) for point in config.integer_points), cols
+    )
 
 
 def ideal_degree_part(e: int, config: PointConfiguration) -> tuple[tuple[int, ...], ...]:
     """Basis of the degree-e forms vanishing (to first order) at every point."""
     if e < 1:
         raise ValueError(f"degree must be >= 1, got {e}")
-    return evaluation_matrix(e, config).kernel_basis()
+    matrix = evaluation_matrix(e, config)
+    return kernel_basis(matrix.entries, matrix.cols)
 
 
 def ordinary_square_dim(d: int, config: PointConfiguration) -> int:
@@ -118,6 +131,8 @@ def ordinary_square_dim(d: int, config: PointConfiguration) -> int:
         e: (ideal_degree_part(e, config), enumerate_monomials(e, n))
         for e in range(1, d)
     }
+    pairs = sum(len(bases[a][0]) * len(bases[d - a][0]) for a in range(1, d // 2 + 1))
+    _check_size(pairs, n_cols)
     products: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for a in range(1, d // 2 + 1):
@@ -146,8 +161,8 @@ def ordinary_square_dim(d: int, config: PointConfiguration) -> int:
     # I^2 lies inside I^(2), so the rank is at most dim I^(2)_d = n_cols minus
     # the codimension; the modular rank never exceeds the codimension, so
     # subtracting it keeps the bound proven without an exact rank.
-    upper = n_cols - singularity_matrix(d, config).modular_rank()
-    return ExactMatrix.from_rows(products, n_cols).rank(upper)
+    upper = n_cols - modular_rank(singularity_matrix(d, config).entries)
+    return integer_rank(products, upper)
 
 
 def hilbert_function(d: int, config: PointConfiguration, mode: str = "symbolic") -> int:
@@ -181,10 +196,10 @@ def derive_trial_seeds(seed: int, trials: int) -> list[int]:
     return [rng.getrandbits(64) for _ in range(trials)]
 
 
-def _codim_trial(args: tuple[int, int, int, int]) -> tuple[int, tuple]:
+def _codim_trial(args: tuple[int, int, int, int]) -> tuple[int, PointConfiguration]:
     d, n, N, trial_seed = args
     config = random_configuration(n, N, random.Random(trial_seed))
-    return codimension(d, config), config.points
+    return codimension(d, config), config
 
 
 def _map_trials(worker, args_list, jobs: int):
@@ -203,7 +218,7 @@ class CollinearProbe:
     """Codimension of the collinear probe configuration at degree 2N-2."""
 
     degree: int
-    points: tuple
+    points: list[list[str]]  # as echoed, from PointConfiguration.json_points()
     codimension: int
     max_allowed: int       # N(n+1) - 1
     line_bound: int        # N(n-1) + d + 1
@@ -214,7 +229,7 @@ class CollinearProbe:
     def to_json_obj(self) -> dict:
         return {
             "degree": self.degree,
-            "points": [[str(c) for c in p] for p in self.points],
+            "points": self.points,
             "codimension": self.codimension,
             "max_allowed": self.max_allowed,
             "line_bound": self.line_bound,
@@ -273,14 +288,14 @@ def verify_codim_lemma(
     codims = tuple(c for c, _ in outcomes)
     counterexamples = []
     if params.in_guaranteed_range:
-        for i, (c, points) in enumerate(outcomes):
+        for i, (c, config) in enumerate(outcomes):
             if c != expected:
                 counterexamples.append(
                     {
                         "trial": i,
                         "codimension": c,
                         "expected": expected,
-                        "points": [[str(x) for x in p] for p in points],
+                        "points": config.json_points(),
                     }
                 )
 
@@ -292,7 +307,7 @@ def verify_codim_lemma(
         line_bound = N * (n - 1) + probe_degree + 1
         probe = CollinearProbe(
             degree=probe_degree,
-            points=config.points,
+            points=config.json_points(),
             codimension=value,
             max_allowed=expected - 1,
             line_bound=line_bound,

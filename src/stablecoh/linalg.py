@@ -11,9 +11,9 @@ is proven: the smaller matrix dimension, or a tighter bound the caller
 proves (the ordinary square passes an upper bound on dim I^(2)_d, since I^2
 is inside I^(2)). When the modular rank meets the bound it is the exact
 rank; otherwise fraction-free Bareiss elimination over the integers decides.
-Floating point never enters. Kernel bases come from a fraction-free
-Gauss-Jordan elimination and are returned as primitive integer vectors,
-so identical inputs give byte-identical bases.
+Floating point never enters. The same elimination, run as Gauss-Jordan,
+gives kernel bases as primitive integer vectors, so identical inputs give
+byte-identical bases.
 """
 
 from __future__ import annotations
@@ -55,40 +55,46 @@ def modular_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+def _eliminate(
+    rows: Sequence[Sequence[int]], n_cols: int, above: bool
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) elimination: rows, pivot columns, last pivot.
 
-    Every intermediate entry is an exact integer (the divisions are exact),
-    so the returned rank is the true rank over the rationals.
+    A pivot pv replaces each row it clears by (pv*row - f*head) / prev, an
+    exact division. It clears the rows below it, and with `above` the rows
+    above too (Gauss-Jordan), which leaves every pivot equal to the last one.
     """
     m = [list(row) for row in rows]
     n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    pivot_row = 0
+    pivots: list[int] = []
     prev = 1
     for col in range(n_cols):
-        if pivot_row >= n_rows:
-            break
-        pivot = None
-        for r in range(pivot_row, n_rows):
-            if m[r][col]:
-                pivot = r
-                break
+        r = len(pivots)
+        pivot = next((i for i in range(r, n_rows) if m[i][col]), None)
         if pivot is None:
             continue
-        if pivot != pivot_row:
-            m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
-        head = m[pivot_row]
+        m[r], m[pivot] = m[pivot], m[r]
+        head = m[r]
         pv = head[col]
-        for r in range(pivot_row + 1, n_rows):
-            row = m[r]
+        # Rows below the pivot are zero left of it; rows above are not.
+        first = 0 if above else col + 1
+        for i in range(0 if above else r + 1, n_rows):
+            if i == r:
+                continue
+            row = m[i]
             f = row[col]
-            for c in range(col + 1, n_cols):
+            for c in range(first, n_cols):
                 row[c] = (pv * row[c] - f * head[c]) // prev
             row[col] = 0
         prev = pv
-        pivot_row += 1
-    return pivot_row
+        pivots.append(col)
+    return m, pivots, prev
+
+
+def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Exact rank over the rationals, by forward fraction-free elimination."""
+    n_cols = len(rows[0]) if rows else 0
+    return len(_eliminate(rows, n_cols, above=False)[1])
 
 
 def integer_rank(rows: Sequence[Sequence[int]], upper: int | None = None) -> int:
@@ -127,29 +133,12 @@ def kernel_basis(rows: Sequence[Sequence[int]], n_cols: int) -> tuple[tuple[int,
     """Basis of the right kernel as primitive integer vectors.
 
     One vector per free column, ordered by column index; the free coordinate
-    of each vector is positive. Gauss-Jordan elimination with Bareiss's
-    exact integer divisions, applied to the rows above the pivot too,
+    of each vector is positive. The shared elimination in Gauss-Jordan mode
     leaves every pivot equal to one integer D, so D times the reduced row
     echelon form is integral and the kernel vectors are read off it exactly.
     The reduced form is unique, so the basis is deterministic byte for byte.
     """
-    m = [list(row) for row in rows]
-    pivots: list[int] = []
-    prev = 1
-    for col in range(n_cols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        head = m[r]
-        pv = head[col]
-        for i, row in enumerate(m):
-            if i != r:
-                f = row[col]
-                m[i] = [(pv * a - f * b) // prev for a, b in zip(row, head)]
-        prev = pv
-        pivots.append(col)
+    m, pivots, prev = _eliminate(rows, n_cols, above=True)
     sign = 1 if prev > 0 else -1
     pivot_set = set(pivots)
     basis = []
@@ -180,21 +169,6 @@ class ExactMatrix:
                 raise ValueError(f"expected {self.cols} columns, got {len(row)}")
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "ExactMatrix":
+    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int) -> "ExactMatrix":
         data = tuple(tuple(row) for row in rows)
-        if cols is None:
-            if not data:
-                raise ValueError("column count required for an empty matrix")
-            cols = len(data[0])
         return cls(len(data), cols, data)
-
-    def rank(self, upper: int | None = None) -> int:
-        """Exact rank; `upper`, if given, must be a proven upper bound on it."""
-        return integer_rank(self.entries, upper)
-
-    def modular_rank(self) -> int:
-        """Rank modulo PRIME: a proven lower bound on the exact rank."""
-        return modular_rank(self.entries)
-
-    def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
-        return kernel_basis(self.entries, self.cols)

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablecoh import conditions, linalg
+from stablecoh import conditions
 from stablecoh.conditions import (
     StabilizationError,
     codimension,
@@ -22,7 +22,7 @@ from stablecoh.conditions import (
     symbolic_square_dim,
     verify_codim_lemma,
 )
-from stablecoh.linalg import bareiss_rank
+from stablecoh.linalg import integer_rank
 from stablecoh.params import ParameterTriple
 from stablecoh.points import (
     PointConfiguration,
@@ -31,7 +31,7 @@ from stablecoh.points import (
     random_configuration,
 )
 
-from oracles import sympy_codimension
+from oracles import sympy_codimension, sympy_rank
 
 
 def plane_coords():
@@ -53,13 +53,13 @@ def test_matrix_binary_quadrics_at_origin_chart():
 def test_matrix_linear_forms_constant_partials():
     m = singularity_matrix(1, PointConfiguration(1, ((3, 5),)))
     assert (m.rows, m.cols) == (2, 2)
-    assert m.rank() == 2
+    assert integer_rank(m.entries) == 2
 
 
 def test_matrix_shape_and_rank_plane_conic():
     m = singularity_matrix(2, PointConfiguration(2, ((1, 0, 0),)))
     assert (m.rows, m.cols) == (3, 6)
-    assert m.rank() == 3
+    assert integer_rank(m.entries) == 3
 
 
 def test_matrix_rejects_degenerate_configs():
@@ -137,6 +137,59 @@ def test_codimension_invariant_under_scaling_and_permutation(n, N, d, seed, data
     assert codimension(d, rescaled) == base
 
 
+# The Alexander-Hirschowitz theorem (J. Algebraic Geom. 4, 1995): N general
+# double points impose min(N(n+1), C(d+n, n)) conditions on degree-d forms,
+# except for quadrics through 2 <= N <= n points and these four (n, d, N).
+SPORADIC = {(2, 4, 5), (3, 4, 9), (4, 4, 14), (4, 3, 7)}
+
+
+def test_codimension_matches_alexander_hirschowitz():
+    rng = random.Random(1995)
+    exceptions = set()
+    for n in range(1, 5):
+        for d in range(2, 6):
+            cols = comb(d + n, n)
+            # N runs up to one past filling every column; the longest ranges keep
+            # only N <= 12 and their top two values, to bound the run time.
+            top = cols // (n + 1) + 1
+            for N in sorted({*range(1, min(top, 12) + 1), top - 1, top}):
+                value = codimension(d, random_configuration(n, N, rng))
+                generic = min(N * (n + 1), cols)
+                if (d == 2 and 2 <= N <= n) or (n, d, N) in SPORADIC:
+                    assert value < generic, (n, d, N)
+                    exceptions.add((n, d, N))
+                else:
+                    assert value == generic, (n, d, N)
+    assert SPORADIC <= exceptions
+
+
+# --- problem-size guard ---------------------------------------------------------
+
+
+def test_oversize_matrices_are_refused_before_enumeration(monkeypatch):
+    def refuse(d, n):
+        raise AssertionError("monomials enumerated")
+
+    monkeypatch.setattr(conditions, "enumerate_monomials", refuse)
+    cfg = random_configuration(6, 2, random.Random(0))
+    with pytest.raises(ValueError, match="too large"):
+        singularity_matrix(60, cfg)
+    with pytest.raises(ValueError, match="too large"):
+        conditions.evaluation_matrix(60, cfg)
+
+
+def test_oversize_ordinary_square_is_refused_before_products(monkeypatch):
+    class NoLookup(dict):
+        def __getitem__(self, key):
+            raise AssertionError("product loop reached")
+
+    index = conditions.monomial_index
+    monkeypatch.setattr(conditions, "monomial_index", lambda d, n: NoLookup(index(d, n)))
+    cfg = random_configuration(2, 4, random.Random(0))
+    with pytest.raises(ValueError, match="too large"):
+        hilbert_function(30, cfg, "ordinary")
+
+
 # --- ideal degree parts and squares --------------------------------------------
 
 
@@ -178,13 +231,13 @@ def test_ordinary_square_never_exceeds_symbolic():
 
 def test_ordinary_square_is_exact_rank_of_products(monkeypatch):
     seen = []
-    certified = linalg.integer_rank
+    certified = conditions.integer_rank
 
     def recording(rows, upper=None):
         seen.append((rows, upper))
         return certified(rows, upper)
 
-    monkeypatch.setattr(linalg, "integer_rank", recording)
+    monkeypatch.setattr(conditions, "integer_rank", recording)
     cfg = coordinate_configuration(3, 3)
     # At d = 3 < 2N the square of the ideal misses xyz: the product rank stays
     # below its bound dim I^(2)_3 = 8, so Bareiss decides. d = 4 is certified.
@@ -193,7 +246,7 @@ def test_ordinary_square_is_exact_rank_of_products(monkeypatch):
         assert ordinary_square_dim(d, cfg) == dim
         [(rows, bound)] = seen
         assert bound == upper == symbolic_square_dim(d, cfg)
-        assert bareiss_rank(rows) == dim
+        assert sympy_rank(rows) == dim
 
 
 # --- Hilbert functions ----------------------------------------------------------
@@ -265,6 +318,16 @@ def test_verify_lemma_deterministic_and_parallel_identical():
     b = verify_codim_lemma(params, trials=8, seed=5, jobs=1)
     c = verify_codim_lemma(params, trials=8, seed=5, jobs=2)
     assert a == b == c
+
+
+def test_counterexamples_and_probe_echo_json_points(monkeypatch):
+    monkeypatch.setattr(conditions, "codimension", lambda d, config: 0)
+    report = verify_codim_lemma(ParameterTriple(3, 1, 2), trials=3, seed=9, jobs=1)
+    sampled = [random_configuration(1, 2, random.Random(s)) for s in derive_trial_seeds(9, 3)]
+    assert [c["points"] for c in report.counterexamples] == [
+        config.json_points() for config in sampled
+    ]
+    assert report.collinear.points == collinear_configuration(1, 2).json_points()
 
 
 @pytest.fixture

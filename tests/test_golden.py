@@ -64,6 +64,8 @@ USAGE_ERRORS = {
     "bad-token": ["hilbert", "--d", "3", "--points", '[["1", "0"], ["1/2", "x"]]'],
     "duplicate-points": ["regularity", "--points", '[["1", "2"], ["-1/2", "-1"]]'],
     "tiny-degree": ["stable-range", "--d", "2", "--n", "1"],
+    # 14 x 90,858,768 singularity matrix: refused before enumerating monomials.
+    "too-large": ["codim", "--d", "60", "--n", "6", "--N", "2"],
 }
 
 
@@ -103,6 +105,8 @@ def index():
 
 def test_every_subcommand_format_and_exit_code_is_covered(index):
     assert set(index) == set(cases())
+    # A half-added case or a stale file shows up here.
+    assert {path.name for path in GOLDEN.glob("*.out")} == {f"{case}.out" for case in cases()}
     commands = {argv[0] for argv in REPORTS.values()}
     assert len(commands) == 12
     assert {entry["exit"] for entry in index.values()} == {0, 1, 2}
