@@ -38,7 +38,7 @@ from .e1 import (
     vanishing_band,
     verify_stable_match,
 )
-from .params import ParameterTriple
+from .params import ParameterTriple, check_dimension_and_count
 from .points import (
     PointConfiguration,
     SamplingError,
@@ -100,6 +100,7 @@ def load_configuration(args, seed: int) -> PointConfiguration:
             raise UsageError("either --points or --N is required")
         if args.n is None:
             raise UsageError("--n is required when sampling points")
+        check_dimension_and_count(args.n, args.N)
         return random_configuration(args.n, args.N, random.Random(seed))
     text = args.points
     if not text.lstrip().startswith("["):
@@ -257,6 +258,7 @@ def cmd_regularity(args, seed):
 
 
 def cmd_d0_scan(args, seed):
+    check_dimension_and_count(args.n, args.N)
     d_max = args.d_max if args.d_max is not None else 2 * args.N - 1
     params = {"n": args.n, "N": args.N, "trials": args.trials, "d_max": d_max}
     try:

@@ -14,9 +14,19 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
+from operator import getitem
+from typing import Iterator
 
-from .linalg import ExactMatrix, integer_rank, kernel_basis, modular_rank
+from .linalg import (
+    PRIME,
+    ExactMatrix,
+    certified_rank,
+    integer_rank,
+    kernel_basis,
+    modular_column_rank,
+)
 from .monomials import enumerate_monomials, monomial_index
 from .params import ParameterTriple, coefficient_space_dim
 from .points import (
@@ -45,7 +55,27 @@ def _check_size(rows: int, cols: int) -> None:
 def _monomial_values(point: tuple[int, ...], e: int, n: int) -> list[int]:
     """Values at an integer point of the degree-e monomials, in graded-lex order."""
     pows = [[c**k for k in range(e + 1)] for c in point]
-    return [prod(p[k] for p, k in zip(pows, exps)) for exps in enumerate_monomials(e, n)]
+    return [prod(map(getitem, pows, exps)) for exps in enumerate_monomials(e, n)]
+
+
+@lru_cache(maxsize=None)
+def _derivative_map(d: int, n: int) -> tuple[tuple[list[int], list[int]], ...]:
+    """Per variable i, each degree-d monomial's e_i and the position of e - eps_i.
+
+    Positions are in the graded-lex degree-(d-1) basis, and 0 when e_i = 0:
+    two lists of shared ints per variable, smaller than a pair per entry.
+    Cached like the monomial bases it is read from, since every trial of a
+    scan asks for the same (d, n).
+    """
+    mons = enumerate_monomials(d, n)
+    lower = monomial_index(d - 1, n)
+    return tuple(
+        (
+            [e[i] for e in mons],
+            [lower[e[:i] + (e[i] - 1,) + e[i + 1:]] if e[i] else 0 for e in mons],
+        )
+        for i in range(n + 1)
+    )
 
 
 def singularity_matrix(d: int, config: PointConfiguration) -> ExactMatrix:
@@ -60,30 +90,52 @@ def singularity_matrix(d: int, config: PointConfiguration) -> ExactMatrix:
     configuration point, so the rank is the codimension of that space inside
     all degree-d forms.
     """
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
+    cols = _singularity_shape(d, config)[1]
     n = config.dimension
-    _check_size(config.count * (n + 1), coefficient_space_dim(d, n))
-    mons = enumerate_monomials(d, n)
-    lower = monomial_index(d - 1, n)
-    # Per row i, each column's e_i and the position of e - eps_i in degree d-1
-    # (0 if e_i = 0): two lists of shared ints, smaller than a pair per entry.
-    derivative = []
-    for i in range(n + 1):
-        coeffs = [e[i] for e in mons]
-        positions = [lower[e[:i] + (e[i] - 1,) + e[i + 1:]] if e[i] else 0 for e in mons]
-        derivative.append((coeffs, positions))
+    derivative = _derivative_map(d, n)
     rows = []
     for point in config.integer_points:
         values = _monomial_values(point, d - 1, n)
         for coeffs, positions in derivative:
             rows.append([k * values[j] for k, j in zip(coeffs, positions)])
-    return ExactMatrix.from_rows(rows, len(mons))
+    return ExactMatrix.from_rows(rows, cols)
+
+
+def _singularity_shape(d: int, config: PointConfiguration) -> tuple[int, int]:
+    """Rows and columns of the singularity matrix, refused when too large."""
+    if d < 1:
+        raise ValueError(f"degree must be >= 1, got {d}")
+    rows = config.count * (config.dimension + 1)
+    cols = coefficient_space_dim(d, config.dimension)
+    _check_size(rows, cols)
+    return rows, cols
+
+
+def _singularity_columns(d: int, config: PointConfiguration) -> Iterator[list[int]]:
+    """The singularity matrix's columns mod PRIME, each built when it is read.
+
+    The degree-(d-1) values are reduced mod p once per point; column e then
+    holds e_i times the value at e - eps_i, in the rows' order, and equals
+    the column of singularity_matrix(d, config) mod p.
+    """
+    n = config.dimension
+    values = [
+        [v % PRIME for v in _monomial_values(point, d - 1, n)] for point in config.integer_points
+    ]
+    for partials in zip(*(zip(coeffs, positions) for coeffs, positions in _derivative_map(d, n))):
+        yield [k * vals[j] % PRIME for vals in values for k, j in partials]
 
 
 def codimension(d: int, config: PointConfiguration) -> int:
-    """Number of independent conditions the singularities impose in degree d."""
-    return integer_rank(singularity_matrix(d, config).entries)
+    """Number of independent conditions the singularities impose in degree d.
+
+    Certified from the columns mod p that are read; the exact matrix is built
+    only when the certificate falls short and Bareiss decides.
+    """
+    shape = _singularity_shape(d, config)
+    return certified_rank(
+        _singularity_columns(d, config), shape, lambda: singularity_matrix(d, config).entries
+    )
 
 
 def symbolic_square_dim(d: int, config: PointConfiguration) -> int:
@@ -161,7 +213,8 @@ def ordinary_square_dim(d: int, config: PointConfiguration) -> int:
     # I^2 lies inside I^(2), so the rank is at most dim I^(2)_d = n_cols minus
     # the codimension; the modular rank never exceeds the codimension, so
     # subtracting it keeps the bound proven without an exact rank.
-    upper = n_cols - modular_rank(singularity_matrix(d, config).entries)
+    smaller = min(_singularity_shape(d, config))
+    upper = n_cols - modular_column_rank(_singularity_columns(d, config), smaller)
     return integer_rank(products, upper)
 
 

@@ -5,54 +5,77 @@ library needs are invariant under rescaling a row, so callers clear
 denominators once, where the input is parsed, and no rational arithmetic
 happens below that.
 
-A rank is first computed modulo one fixed prime p below 2^30. Reduction mod
-p can only lose rank, so rank(A mod p) <= rank_Q(A) <= bound, where the bound
-is proven: the smaller matrix dimension, or a tighter bound the caller
-proves (the ordinary square passes an upper bound on dim I^(2)_d, since I^2
-is inside I^(2)). When the modular rank meets the bound it is the exact
-rank; otherwise fraction-free Bareiss elimination over the integers decides.
-Floating point never enters. The same elimination, run as Gauss-Jordan,
-gives kernel bases as primitive integer vectors, so identical inputs give
-byte-identical bases.
+A rank is certified modulo one fixed prime p below 2^30, column by column.
+Each column is reduced mod p against an echelon basis of the columns read
+before it, and reading stops once the rank reaches min(rows, cols, bound+1).
+The bound is proven: the smaller matrix dimension, or a tighter bound the
+caller proves (the ordinary square passes an upper bound on dim I^(2)_d,
+since I^2 is inside I^(2)). The rank mod p of any set of columns is at most
+rank_Q(A), so a rank that meets the bound is exact, and one that reaches
+bound + 1 proves a false `upper`. Only r independent columns are needed, so
+a full-rank matrix is certified after reading about r of them; a caller
+that passes a generator never builds the rest. Below the bound (a
+rank-deficient matrix or an unlucky prime) the caller's thunk builds the
+exact integer rows, and fraction-free Bareiss elimination over the integers
+decides. Floating point never enters. The same elimination, run as
+Gauss-Jordan, gives kernel bases as primitive integer vectors, so identical
+inputs give byte-identical bases.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
 # The largest prime below 2^30: every residue fits in one CPython digit, which
 # keeps the elimination loop on single-digit integers.
 PRIME = 1073741789
 
 
-def modular_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix over the field with PRIME elements.
+def modular_column_rank(columns: Iterable[Sequence[int]], stop: int) -> int:
+    """Rank over the field with PRIME elements of the matrix with these columns.
 
-    Reduction mod p can only lose rank, so the result is a lower bound on
-    the rank over the rationals.
+    Columns are read one at a time against a reduced echelon basis of the
+    columns before them: one pivot row per basis column, where that column
+    is 1 and the others are 0. A column in the span is the combination of
+    basis columns given by its pivot-row entries, so each other row's entry
+    is a dot product with those entries, and the residual is the column
+    minus them. Only a column with a nonzero residual updates the basis.
+    Reading ends once the rank reaches `stop`, so columns past that point
+    are never built when the caller passes a generator. The rank of a
+    column subset mod p is at most the rank over the rationals of the whole
+    matrix.
     """
+    if stop < 1:
+        return 0
     p = PRIME
-    # Residues live in machine-word arrays, not as one int object per entry,
-    # so the reduced copy costs less memory than the matrix it came from.
-    m = [array("l", [x % p for x in row]) for row in rows]
-    rank = 0
-    # Each step retires the leading column; rows hold the remaining columns.
-    while m and m[0]:
-        pivot = next((i for i, row in enumerate(m) if row[0]), None)
-        if pivot is None:
-            m = [row[1:] for row in m]
+    pivots: list[int] = []
+    # Non-pivot row i -> c with v[i] = sum(c[j] * v[pivots[j]]) for v in the span.
+    coeffs: dict[int, list[int]] | None = None
+    for col in columns:
+        v = [x % p for x in col]
+        if coeffs is None:
+            coeffs = {i: [] for i in range(len(v))}
+        head = [v[q] for q in pivots]
+        residual = {i: (v[i] - sum(map(mul, c, head))) % p for i, c in coeffs.items()}
+        q = next((i for i, x in residual.items() if x), None)
+        if q is None:
             continue
-        head = m.pop(pivot)
-        inv = pow(head[0], -1, p)
-        tail = [x * inv % p for x in head[1:]]
-        for i, row in enumerate(m):
-            f = row[0]
-            m[i] = array("l", [(a - f * b) % p for a, b in zip(row[1:], tail)]) if f else row[1:]
-        rank += 1
-    return rank
+        # The residual scaled to 1 at row q joins the basis; clearing row q
+        # from the old basis columns updates every other row's coefficients.
+        inv = pow(residual[q], -1, p)
+        top = coeffs.pop(q)
+        for i, c in coeffs.items():
+            t = residual[i] * inv % p
+            if t:
+                coeffs[i] = [(a - t * b) % p for a, b in zip(c, top)]
+            coeffs[i].append(t)
+        pivots.append(q)
+        if len(pivots) == stop:
+            break
+    return len(pivots)
 
 
 def _eliminate(
@@ -97,30 +120,47 @@ def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_eliminate(rows, n_cols, above=False)[1])
 
 
-def integer_rank(rows: Sequence[Sequence[int]], upper: int | None = None) -> int:
-    """Exact rank over the rationals of an integer matrix.
+def certified_rank(
+    columns: Iterable[Sequence[int]],
+    shape: tuple[int, int],
+    exact: Callable[[], Sequence[Sequence[int]]],
+    upper: int | None = None,
+) -> int:
+    """Exact rank over the rationals of an integer matrix given column by column.
 
     The bound is min(rows, cols), or min(upper, rows, cols) when the caller
-    passes `upper`, which must be a proven upper bound on the rank. The rank
-    modulo PRIME is returned when it meets the bound; since it can never
-    exceed the true rank, it is then exact. Otherwise (a rank-deficient
-    matrix, a loose bound or an unlucky prime) Bareiss elimination decides.
-    A rank above `upper` means the bound was false and raises ValueError.
+    passes `upper`, which must be a proven upper bound on the rank. The
+    columns are read mod PRIME until the rank reaches the bound plus one, or
+    the smaller dimension: a rank mod p never exceeds the true rank, so one
+    that meets the bound is exact, and one above it proves the bound false.
+    Below the bound (a rank-deficient matrix, a loose bound or an unlucky
+    prime), `exact()` builds the integer rows and Bareiss elimination
+    decides. A rank above `upper` raises ValueError.
+    """
+    n_rows, n_cols = shape
+    smaller = min(n_rows, n_cols)
+    bound = smaller if upper is None else min(upper, smaller)
+    rank = modular_column_rank(columns, min(smaller, bound + 1))
+    if rank < bound:
+        rank = bareiss_rank(exact())
+    if rank > bound:
+        raise ValueError(f"rank {rank} exceeds the claimed upper bound {upper}")
+    return rank
+
+
+def integer_rank(rows: Sequence[Sequence[int]], upper: int | None = None) -> int:
+    """Exact rank over the rationals of a built integer matrix; see certified_rank.
+
+    The longer side is streamed, so the echelon basis holds vectors of the
+    shorter length, and Bareiss runs on the orientation with fewer rows.
     """
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
     if n_rows == 0 or n_cols == 0:
         return 0
     if n_rows > n_cols:
-        rows = list(zip(*rows))
-        n_rows, n_cols = n_cols, n_rows
-    bound = n_rows if upper is None else min(upper, n_rows)
-    rank = modular_rank(rows)
-    if rank < bound:
-        rank = bareiss_rank(rows)
-    if rank > bound:
-        raise ValueError(f"rank {rank} exceeds the claimed upper bound {upper}")
-    return rank
+        return certified_rank(rows, (n_cols, n_rows), lambda: list(zip(*rows)), upper)
+    return certified_rank(zip(*rows), (n_rows, n_cols), lambda: rows, upper)
 
 
 def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:

@@ -13,6 +13,14 @@ def coefficient_space_dim(d: int, n: int) -> int:
     return comb(d + n, n)
 
 
+def check_dimension_and_count(n: int, N: int) -> None:
+    """Refuse a projective dimension or a point count below 1 with ValueError."""
+    if n < 1:
+        raise ValueError(f"projective dimension must be >= 1, got {n}")
+    if N < 1:
+        raise ValueError(f"point count must be >= 1, got {N}")
+
+
 @dataclass(frozen=True)
 class ParameterTriple:
     """A (d, n, N) triple: form degree, projective dimension, point count."""
@@ -24,10 +32,7 @@ class ParameterTriple:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ValueError(f"degree must be >= 1, got {self.d}")
-        if self.n < 1:
-            raise ValueError(f"projective dimension must be >= 1, got {self.n}")
-        if self.N < 1:
-            raise ValueError(f"point count must be >= 1, got {self.N}")
+        check_dimension_and_count(self.n, self.N)
 
     @property
     def coefficient_dim(self) -> int:

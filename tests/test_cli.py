@@ -119,6 +119,19 @@ def test_exit_two_on_usage_error(capsys):
     assert exc.value.code == 2
 
 
+# The golden set pins `regularity --N 0` and `d0-scan --n 0` byte for byte.
+@pytest.mark.parametrize("argv", [
+    ["codim", "--d", "3", "--n", "0", "--N", "3"],
+    ["codim", "--d", "3", "--n", "2", "--N", "0"],
+    ["hilbert", "--d", "3", "--n", "-1", "--N", "2"],
+    ["d0-scan", "--n", "2", "--N", "0"],
+])
+def test_sampling_refuses_dimension_or_count_below_one(capsys, argv):
+    code = main(argv + ["--jobs", "1"])
+    assert code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_malformed_points_file_reports_position(capsys, tmp_path):
     bad = tmp_path / "points.json"
     bad.write_text('[["1", "0"], ["2", "oops"]]')

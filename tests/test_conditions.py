@@ -22,7 +22,7 @@ from stablecoh.conditions import (
     symbolic_square_dim,
     verify_codim_lemma,
 )
-from stablecoh.linalg import integer_rank
+from stablecoh.linalg import PRIME, integer_rank
 from stablecoh.params import ParameterTriple
 from stablecoh.points import (
     PointConfiguration,
@@ -143,9 +143,9 @@ def test_codimension_invariant_under_scaling_and_permutation(n, N, d, seed, data
 SPORADIC = {(2, 4, 5), (3, 4, 9), (4, 4, 14), (4, 3, 7)}
 
 
-def test_codimension_matches_alexander_hirschowitz():
+def alexander_hirschowitz_cases():
+    """(n, d, N, configuration) for n <= 4 and 2 <= d <= 5, seeded."""
     rng = random.Random(1995)
-    exceptions = set()
     for n in range(1, 5):
         for d in range(2, 6):
             cols = comb(d + n, n)
@@ -153,14 +153,102 @@ def test_codimension_matches_alexander_hirschowitz():
             # only N <= 12 and their top two values, to bound the run time.
             top = cols // (n + 1) + 1
             for N in sorted({*range(1, min(top, 12) + 1), top - 1, top}):
-                value = codimension(d, random_configuration(n, N, rng))
-                generic = min(N * (n + 1), cols)
-                if (d == 2 and 2 <= N <= n) or (n, d, N) in SPORADIC:
-                    assert value < generic, (n, d, N)
-                    exceptions.add((n, d, N))
-                else:
-                    assert value == generic, (n, d, N)
+                yield n, d, N, random_configuration(n, N, rng)
+
+
+def test_codimension_matches_alexander_hirschowitz():
+    exceptions = set()
+    for n, d, N, cfg in alexander_hirschowitz_cases():
+        value = codimension(d, cfg)
+        generic = min(N * (n + 1), comb(d + n, n))
+        if (d == 2 and 2 <= N <= n) or (n, d, N) in SPORADIC:
+            assert value < generic, (n, d, N)
+            exceptions.add((n, d, N))
+        else:
+            assert value == generic, (n, d, N)
     assert SPORADIC <= exceptions
+
+
+# --- the streamed certificate ----------------------------------------------------
+
+
+def test_streamed_columns_are_the_matrix_mod_p():
+    for n, d, N, cfg in alexander_hirschowitz_cases():
+        columns = list(zip(*singularity_matrix(d, cfg).entries))
+        streamed = list(conditions._singularity_columns(d, cfg))
+        assert len(streamed) == len(columns), (n, d, N)
+        for exact, residues in zip(columns, streamed):
+            assert [x % PRIME for x in exact] == residues, (n, d, N)
+
+
+@pytest.fixture
+def columns_read(monkeypatch):
+    """Patch the column stream to count what the certificate reads; one entry per stream."""
+    reads = []
+    stream = conditions._singularity_columns
+
+    def counted(d, config):
+        reads.append(0)
+        for column in stream(d, config):
+            reads[-1] += 1
+            yield column
+
+    monkeypatch.setattr(conditions, "_singularity_columns", counted)
+    return reads
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Patch singularity_matrix to record the degree of every exact build."""
+    degrees = []
+    build = conditions.singularity_matrix
+
+    def recording(d, config):
+        degrees.append(d)
+        return build(d, config)
+
+    monkeypatch.setattr(conditions, "singularity_matrix", recording)
+    return degrees
+
+
+@pytest.mark.parametrize("d, cfg, rank, read", [
+    # Every partial of x0*x1*x2, the fifth column, vanishes at the coordinate
+    # points, so rank 9 needs all 10 columns.
+    (3, coordinate_configuration(2, 3), 9, 10),
+    # Points on a line at d = 5 >= 2N - 1: rank 9 is reached at column 16 of 21.
+    (5, collinear_configuration(2, 3), 9, 16),
+])
+def test_certificate_reads_past_dependent_leading_columns(
+    d, cfg, rank, read, columns_read, builds
+):
+    assert codimension(d, cfg) == rank == sympy_codimension(d, list(cfg.points))
+    assert columns_read == [read]
+    assert builds == []
+
+
+def test_points_equal_mod_p_fall_back_to_bareiss(columns_read, builds):
+    # (1, 0) and (1, p) are distinct points that coincide mod p: the rank mod
+    # p is that of one double point, so the certificate fails and Bareiss decides.
+    cfg = PointConfiguration(1, ((1, 0), (1, PRIME)))
+    assert codimension(3, cfg) == 4 == sympy_codimension(3, list(cfg.points))
+    assert columns_read == [4]
+    assert builds == [3]
+    plane = PointConfiguration(2, ((1, 0, 0), (1, PRIME, 0), (0, 0, 1)))
+    assert codimension(5, plane) == 9 == sympy_codimension(5, list(plane.points))
+    assert builds == [3, 5]
+
+
+def test_certificate_work_count(columns_read, builds):
+    # Full rank at seeded points: the certificate reads 32 of the 816 columns.
+    for seed in range(4):
+        assert codimension(15, random_configuration(3, 8, random.Random(seed))) == 32
+    assert columns_read == [32] * 4
+    assert builds == []
+    # The collinear probe is rank-deficient: every column is read, then Bareiss.
+    columns_read.clear()
+    assert codimension(14, collinear_configuration(3, 8)) == 31
+    assert columns_read == [680]
+    assert builds == [14]
 
 
 # --- problem-size guard ---------------------------------------------------------

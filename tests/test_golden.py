@@ -64,6 +64,9 @@ USAGE_ERRORS = {
     "bad-token": ["hilbert", "--d", "3", "--points", '[["1", "0"], ["1/2", "x"]]'],
     "duplicate-points": ["regularity", "--points", '[["1", "2"], ["-1/2", "-1"]]'],
     "tiny-degree": ["stable-range", "--d", "2", "--n", "1"],
+    # Sampling refuses no points or dimension 0 before drawing any.
+    "regularity-zero-points": ["regularity", "--n", "2", "--N", "0"],
+    "d0-scan-dimension-zero": ["d0-scan", "--n", "0", "--N", "3"],
     # 14 x 90,858,768 singularity matrix: refused before enumerating monomials.
     "too-large": ["codim", "--d", "60", "--n", "6", "--N", "2"],
 }

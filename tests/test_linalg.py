@@ -7,9 +7,10 @@ from stablecoh.linalg import (
     PRIME,
     ExactMatrix,
     bareiss_rank,
+    certified_rank,
     integer_rank,
     kernel_basis,
-    modular_rank,
+    modular_column_rank,
     primitive_vector,
 )
 
@@ -30,7 +31,7 @@ def test_rank_of_empty():
 
 def test_multiples_of_the_prime_fall_back_to_exact_rank():
     rows = [[PRIME * x for x in row] for row in ([1, 2, 3], [4, 5, 6], [7, 8, 10])]
-    assert modular_rank(rows) == 0
+    assert modular_column_rank(zip(*rows), 3) == 0
     assert integer_rank(rows) == sympy_rank(rows) == 3
 
 
@@ -41,6 +42,51 @@ def test_upper_bound_is_used_and_checked():
     # The modular rank is 0 here, so the false bound surfaces in the fallback.
     with pytest.raises(ValueError):
         integer_rank([[PRIME, 0], [0, PRIME]], upper=1)
+
+
+def counted(columns, reads):
+    for column in columns:
+        reads.append(column)
+        yield column
+
+
+def test_certificate_stops_at_the_bound_plus_one():
+    builds = []
+
+    def exact(rows):
+        return lambda: builds.append(rows) or rows
+
+    # Full rank 2 is met after two of four columns; the rest are never read.
+    rows = [[1, 0, 1, 2], [0, 1, 1, 3]]
+    reads = []
+    assert certified_rank(counted(zip(*rows), reads), (2, 4), exact(rows)) == 2
+    assert len(reads) == 2 and builds == []
+    # With upper = 1 every column is read in search of a second pivot.
+    rows = [[1, 2, 3], [2, 4, 6]]
+    reads.clear()
+    assert certified_rank(counted(zip(*rows), reads), (2, 3), exact(rows), upper=1) == 1
+    assert len(reads) == 3 and builds == []
+    # A second pivot disproves upper = 1 as soon as it is read.
+    rows = [[1, 0, 5], [0, 1, 7]]
+    reads.clear()
+    with pytest.raises(ValueError):
+        certified_rank(counted(zip(*rows), reads), (2, 3), exact(rows), upper=1)
+    assert len(reads) == 2 and builds == []
+    # Below the bound the exact rows are built once and Bareiss decides.
+    rows = [[1, 2, 3], [2, 4, 6]]
+    assert certified_rank(zip(*rows), (2, 3), exact(rows)) == 1 == sympy_rank(rows)
+    assert builds == [rows]
+
+
+def test_modular_column_rank_reads_dependent_columns_until_stop():
+    columns = [[0, 0, 0], [1, 2, 3], [2, 4, 6], [1, 0, 0], [3, 0, 0], [0, 1, 0]]
+    reads = []
+    assert modular_column_rank(counted(columns, reads), 3) == 3
+    assert len(reads) == 6
+    reads.clear()
+    assert modular_column_rank(counted(columns, reads), 2) == 2
+    assert len(reads) == 4
+    assert modular_column_rank(columns, 0) == 0
 
 
 def test_primitive_vector():
