@@ -35,7 +35,6 @@ from .e1 import (
     vanishing_band,
     verify_stable_match,
 )
-from .linalg import ExactMatrix
 from .monomials import enumerate_monomials
 from .params import ParameterTriple, coefficient_space_dim
 from .points import (
@@ -54,7 +53,6 @@ from .tables import (
 )
 
 __all__ = [
-    "ExactMatrix",
     "GradedTateVector",
     "ParameterTriple",
     "PointConfiguration",

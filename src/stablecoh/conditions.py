@@ -19,14 +19,7 @@ from math import prod
 from operator import getitem
 from typing import Iterator
 
-from .linalg import (
-    PRIME,
-    ExactMatrix,
-    certified_rank,
-    integer_rank,
-    kernel_basis,
-    modular_column_rank,
-)
+from .linalg import ExactMatrix, certified_rank, integer_rank, kernel_basis
 from .monomials import enumerate_monomials, monomial_index
 from .params import ParameterTriple, coefficient_space_dim
 from .points import (
@@ -88,17 +81,10 @@ def singularity_matrix(d: int, config: PointConfiguration) -> ExactMatrix:
     the value of one degree-(d-1) monomial, or 0 when e_i = 0. The kernel is
     the degree-d part of the forms vanishing to order >= 2 at each
     configuration point, so the rank is the codimension of that space inside
-    all degree-d forms.
+    all degree-d forms. The rows are the transpose of the column stream.
     """
     cols = _singularity_shape(d, config)[1]
-    n = config.dimension
-    derivative = _derivative_map(d, n)
-    rows = []
-    for point in config.integer_points:
-        values = _monomial_values(point, d - 1, n)
-        for coeffs, positions in derivative:
-            rows.append([k * values[j] for k, j in zip(coeffs, positions)])
-    return ExactMatrix.from_rows(rows, cols)
+    return ExactMatrix.from_rows(zip(*_singularity_columns(d, config)), cols)
 
 
 def _singularity_shape(d: int, config: PointConfiguration) -> tuple[int, int]:
@@ -112,30 +98,25 @@ def _singularity_shape(d: int, config: PointConfiguration) -> tuple[int, int]:
 
 
 def _singularity_columns(d: int, config: PointConfiguration) -> Iterator[list[int]]:
-    """The singularity matrix's columns mod PRIME, each built when it is read.
+    """The singularity matrix's columns, each built when it is read.
 
-    The degree-(d-1) values are reduced mod p once per point; column e then
-    holds e_i times the value at e - eps_i, in the rows' order, and equals
-    the column of singularity_matrix(d, config) mod p.
+    The degree-(d-1) values are computed once per point; column e then holds
+    e_i times the value at e - eps_i, one entry per (point, variable i) row.
     """
     n = config.dimension
-    values = [
-        [v % PRIME for v in _monomial_values(point, d - 1, n)] for point in config.integer_points
-    ]
+    values = [_monomial_values(point, d - 1, n) for point in config.integer_points]
     for partials in zip(*(zip(coeffs, positions) for coeffs, positions in _derivative_map(d, n))):
-        yield [k * vals[j] % PRIME for vals in values for k, j in partials]
+        yield [k * vals[j] for vals in values for k, j in partials]
 
 
 def codimension(d: int, config: PointConfiguration) -> int:
     """Number of independent conditions the singularities impose in degree d.
 
-    Certified from the columns mod p that are read; the exact matrix is built
-    only when the certificate falls short and Bareiss decides.
+    Certified from the columns read, reduced mod p; when the certificate
+    falls short, Bareiss decides on the same kept columns.
     """
     shape = _singularity_shape(d, config)
-    return certified_rank(
-        _singularity_columns(d, config), shape, lambda: singularity_matrix(d, config).entries
-    )
+    return certified_rank(_singularity_columns(d, config), shape)
 
 
 def symbolic_square_dim(d: int, config: PointConfiguration) -> int:
@@ -211,11 +192,8 @@ def ordinary_square_dim(d: int, config: PointConfiguration) -> int:
     if not products:
         return 0
     # I^2 lies inside I^(2), so the rank is at most dim I^(2)_d = n_cols minus
-    # the codimension; the modular rank never exceeds the codimension, so
-    # subtracting it keeps the bound proven without an exact rank.
-    smaller = min(_singularity_shape(d, config))
-    upper = n_cols - modular_column_rank(_singularity_columns(d, config), smaller)
-    return integer_rank(products, upper)
+    # the codimension.
+    return integer_rank(products, n_cols - codimension(d, config))
 
 
 def hilbert_function(d: int, config: PointConfiguration, mode: str = "symbolic") -> int:

@@ -14,10 +14,15 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .params import ParameterTriple, coefficient_space_dim
-from .tables import GradedTateVector, gaussian_binomial, gl_cohomology, twisted_config_bm
+from .tables import (
+    GradedTateVector,
+    gaussian_binomial,
+    gl_cohomology,
+    half_tate,
+    twisted_config_bm,
+)
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ def stratum_bm(d: int, n: int, l: int) -> StratumSupport:
     degree_shift = 2 * c - 2 * l * n - l - 1
     tate_shift = c - l * (n + 1)
     table = twisted_config_bm(l, n).mapped(
-        lambda j, dim, tate: (j + degree_shift, dim, Fraction(j, 2) + tate_shift)
+        lambda j, dim, tate: (j + degree_shift, dim, half_tate(j) + tate_shift)
     )
     low = 2 * c - l * (2 * n + 2 - l) - 1
     high = 2 * c - l * l - 1

@@ -9,17 +9,17 @@ A rank is certified modulo one fixed prime p below 2^30, column by column.
 Each column is reduced mod p against an echelon basis of the columns read
 before it, and reading stops once the rank reaches min(rows, cols, bound+1).
 The bound is proven: the smaller matrix dimension, or a tighter bound the
-caller proves (the ordinary square passes an upper bound on dim I^(2)_d,
-since I^2 is inside I^(2)). The rank mod p of any set of columns is at most
+caller proves (the ordinary square passes dim I^(2)_d, since I^2 is
+inside I^(2)). The rank mod p of any set of columns is at most
 rank_Q(A), so a rank that meets the bound is exact, and one that reaches
 bound + 1 proves a false `upper`. Only r independent columns are needed, so
 a full-rank matrix is certified after reading about r of them; a caller
-that passes a generator never builds the rest. Below the bound (a
-rank-deficient matrix or an unlucky prime) the caller's thunk builds the
-exact integer rows, and fraction-free Bareiss elimination over the integers
-decides. Floating point never enters. The same elimination, run as
-Gauss-Jordan, gives kernel bases as primitive integer vectors, so identical
-inputs give byte-identical bases.
+that passes a generator never builds the rest. The columns read are kept
+exact; below the bound (a rank-deficient matrix or an unlucky prime) every
+column has been read, and fraction-free Bareiss elimination over the
+integers decides on the kept columns. Floating point never enters. The same
+elimination, run as Gauss-Jordan, gives kernel bases as primitive integer
+vectors, so identical inputs give byte-identical bases.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 # The largest prime below 2^30: every residue fits in one CPython digit, which
 # keeps the elimination loop on single-digit integers.
@@ -121,10 +121,7 @@ def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
 
 
 def certified_rank(
-    columns: Iterable[Sequence[int]],
-    shape: tuple[int, int],
-    exact: Callable[[], Sequence[Sequence[int]]],
-    upper: int | None = None,
+    columns: Iterable[Sequence[int]], shape: tuple[int, int], upper: int | None = None
 ) -> int:
     """Exact rank over the rationals of an integer matrix given column by column.
 
@@ -134,15 +131,17 @@ def certified_rank(
     the smaller dimension: a rank mod p never exceeds the true rank, so one
     that meets the bound is exact, and one above it proves the bound false.
     Below the bound (a rank-deficient matrix, a loose bound or an unlucky
-    prime), `exact()` builds the integer rows and Bareiss elimination
-    decides. A rank above `upper` raises ValueError.
+    prime) every column has been read, and Bareiss elimination decides on
+    the kept columns, in the orientation with fewer rows. A rank above
+    `upper` raises ValueError.
     """
     n_rows, n_cols = shape
     smaller = min(n_rows, n_cols)
     bound = smaller if upper is None else min(upper, smaller)
-    rank = modular_column_rank(columns, min(smaller, bound + 1))
+    kept: list[Sequence[int]] = []
+    rank = modular_column_rank((kept.append(c) or c for c in columns), min(smaller, bound + 1))
     if rank < bound:
-        rank = bareiss_rank(exact())
+        rank = bareiss_rank(kept if n_cols < n_rows else list(zip(*kept)))
     if rank > bound:
         raise ValueError(f"rank {rank} exceeds the claimed upper bound {upper}")
     return rank
@@ -152,15 +151,15 @@ def integer_rank(rows: Sequence[Sequence[int]], upper: int | None = None) -> int
     """Exact rank over the rationals of a built integer matrix; see certified_rank.
 
     The longer side is streamed, so the echelon basis holds vectors of the
-    shorter length, and Bareiss runs on the orientation with fewer rows.
+    shorter length.
     """
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
     if n_rows == 0 or n_cols == 0:
         return 0
     if n_rows > n_cols:
-        return certified_rank(rows, (n_cols, n_rows), lambda: list(zip(*rows)), upper)
-    return certified_rank(zip(*rows), (n_rows, n_cols), lambda: rows, upper)
+        return certified_rank(rows, (n_cols, n_rows), upper)
+    return certified_rank(zip(*rows), (n_rows, n_cols), upper)
 
 
 def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:

@@ -5,14 +5,13 @@ Conventions, fixed here once and reused everywhere downstream:
 * a table entry of Tate index m denotes a summand Q(m), of weight -2m;
 * degree-2i homology of a smooth compact variety carries Tate index i
   (dual to the cohomological convention Q(-i));
-* Tate indices may be computed as exact rationals but every stored entry
+* a Tate index j/2 is computed by integer halving, and every stored entry
   must be integral; a half-integral index is a hard error, never rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -35,7 +34,7 @@ class GradedTateVector:
 
     @classmethod
     def from_components(
-        cls, components: Iterable[tuple[int, int, int | Fraction]]
+        cls, components: Iterable[tuple[int, int, int]]
     ) -> "GradedTateVector":
         """Build from (degree, dimension, tate) triples, merging equal twists."""
         acc: dict[tuple[int, int], int] = {}
@@ -44,12 +43,9 @@ class GradedTateVector:
                 raise ValueError(f"negative dimension {dim} in degree {degree}")
             if dim == 0:
                 continue
-            twist = Fraction(tate)
-            if twist.denominator != 1:
-                raise ValueError(
-                    f"non-integral Tate index {twist} in degree {degree}"
-                )
-            key = (degree, int(twist))
+            if int(tate) != tate:
+                raise ValueError(f"non-integral Tate index {tate} in degree {degree}")
+            key = (degree, int(tate))
             acc[key] = acc.get(key, 0) + dim
         entries: dict[int, list[TateComponent]] = {}
         for (degree, twist), dim in sorted(acc.items(), key=lambda kv: (kv[0][0], kv[0][1])):
@@ -118,28 +114,36 @@ class GradedTateVector:
         return f"GradedTateVector({{{inner}}})"
 
 
+def half_tate(degree: int) -> int:
+    """The Tate index degree/2 of a pure entry; an odd degree raises ValueError."""
+    if degree % 2:
+        raise ValueError(f"non-integral Tate index {degree}/2")
+    return degree // 2
+
+
 @lru_cache(maxsize=None)
 def gaussian_binomial(m: int, l: int) -> tuple[int, ...]:
     """Coefficient tuple of the Gaussian binomial [m, l]_q.
 
-    Computed by the q-Pascal recurrence [m,l] = [m-1,l-1] + q^l [m-1,l]
-    with exact integer coefficients; index i is the coefficient of q^i and
-    the tuple has length l(m-l)+1.
+    Computed without recursion by the product formula, the product over
+    i < l of (1 - q^(m-i)) / (1 - q^(i+1)), each division exact; [m, l] =
+    [m, m-l], so the shorter product is taken. Index i is the coefficient of
+    q^i and the tuple has length l(m-l)+1.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if l < 0 or l > m:
         return ()
-    if l == 0 or l == m:
-        return (1,)
-    left = gaussian_binomial(m - 1, l - 1)
-    right = gaussian_binomial(m - 1, l)
-    out = [0] * (l * (m - l) + 1)
-    for i, c in enumerate(left):
-        out[i] += c
-    for i, c in enumerate(right):
-        out[i + l] += c
-    return tuple(out)
+    coeffs = [1]
+    for i in range(min(l, m - l)):
+        up, down = m - i, i + 1
+        coeffs += [0] * up
+        for j in range(len(coeffs) - 1, up - 1, -1):
+            coeffs[j] -= coeffs[j - up]
+        del coeffs[len(coeffs) - down:]
+        for j in range(down, len(coeffs)):
+            coeffs[j] += coeffs[j - down]
+    return tuple(coeffs)
 
 
 def grassmannian_poincare(l: int, n: int) -> GradedTateVector:
@@ -169,7 +173,7 @@ def twisted_config_bm(l: int, n: int) -> GradedTateVector:
         raise ValueError(f"l must be between 1 and n+1 = {n + 1}, got {l}")
     shift = l * (l - 1)
     grass = grassmannian_poincare(l, n)
-    return grass.mapped(lambda deg, dim, tate: (deg + shift, dim, Fraction(deg + shift, 2)))
+    return grass.mapped(lambda deg, dim, tate: (deg + shift, dim, half_tate(deg + shift)))
 
 
 @dataclass(frozen=True)

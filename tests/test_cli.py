@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 from importlib import resources
+from math import comb
 from pathlib import Path
 
 import jsonschema
@@ -222,6 +223,13 @@ def test_gl_cohomology_csv(capsys):
     assert [tuple(line.split(",")[:2]) for line in lines[1:]] == [
         ("0", "1"), ("1", "1"), ("3", "1"), ("4", "1")
     ]
+
+
+def test_grassmann_of_large_space_has_no_recursion_limit(capsys):
+    # [1501, 3]_q needs no recursion depth that grows with n.
+    code, out = run_cli(capsys, ["grassmann", "--l", "3", "--n", "1500", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["report"]["total_dim"] == comb(1501, 3) == 562_499_750
 
 
 def test_e1_page_csv_columns(capsys):

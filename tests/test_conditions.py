@@ -2,12 +2,12 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablecoh import conditions
+from stablecoh import conditions, linalg
 from stablecoh.conditions import (
     StabilizationError,
     codimension,
@@ -23,6 +23,7 @@ from stablecoh.conditions import (
     verify_codim_lemma,
 )
 from stablecoh.linalg import PRIME, integer_rank
+from stablecoh.monomials import enumerate_monomials
 from stablecoh.params import ParameterTriple
 from stablecoh.points import (
     PointConfiguration,
@@ -172,13 +173,19 @@ def test_codimension_matches_alexander_hirschowitz():
 # --- the streamed certificate ----------------------------------------------------
 
 
-def test_streamed_columns_are_the_matrix_mod_p():
+def test_streamed_columns_are_the_partial_derivatives():
+    # d/dx_i x^e at c is e_i * prod_j c_j^(e_j - delta_ij), from the exponents alone.
     for n, d, N, cfg in alexander_hirschowitz_cases():
-        columns = list(zip(*singularity_matrix(d, cfg).entries))
+        mons = enumerate_monomials(d, n)
         streamed = list(conditions._singularity_columns(d, cfg))
-        assert len(streamed) == len(columns), (n, d, N)
-        for exact, residues in zip(columns, streamed):
-            assert [x % PRIME for x in exact] == residues, (n, d, N)
+        assert len(streamed) == len(mons), (n, d, N)
+        for e, column in zip(mons, streamed):
+            expected = [
+                e[i] * prod(c ** (e[j] - (i == j)) for j, c in enumerate(point)) if e[i] else 0
+                for point in cfg.integer_points
+                for i in range(n + 1)
+            ]
+            assert column == expected, (n, d, N, e)
 
 
 @pytest.fixture
@@ -198,16 +205,30 @@ def columns_read(monkeypatch):
 
 
 @pytest.fixture
-def builds(monkeypatch):
-    """Patch singularity_matrix to record the degree of every exact build."""
+def bareiss_calls(monkeypatch):
+    """Patch the exact fallback to record the (rows, cols) of every Bareiss run."""
+    shapes = []
+    bareiss = linalg.bareiss_rank
+
+    def recording(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return bareiss(rows)
+
+    monkeypatch.setattr(linalg, "bareiss_rank", recording)
+    return shapes
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Patch the monomial evaluation to record the degree of every call."""
     degrees = []
-    build = conditions.singularity_matrix
+    evaluate = conditions._monomial_values
 
-    def recording(d, config):
-        degrees.append(d)
-        return build(d, config)
+    def recording(point, e, n):
+        degrees.append(e)
+        return evaluate(point, e, n)
 
-    monkeypatch.setattr(conditions, "singularity_matrix", recording)
+    monkeypatch.setattr(conditions, "_monomial_values", recording)
     return degrees
 
 
@@ -219,36 +240,51 @@ def builds(monkeypatch):
     (5, collinear_configuration(2, 3), 9, 16),
 ])
 def test_certificate_reads_past_dependent_leading_columns(
-    d, cfg, rank, read, columns_read, builds
+    d, cfg, rank, read, columns_read, bareiss_calls
 ):
     assert codimension(d, cfg) == rank == sympy_codimension(d, list(cfg.points))
     assert columns_read == [read]
-    assert builds == []
+    assert bareiss_calls == []
 
 
-def test_points_equal_mod_p_fall_back_to_bareiss(columns_read, builds):
+def test_points_equal_mod_p_fall_back_to_bareiss(columns_read, bareiss_calls):
     # (1, 0) and (1, p) are distinct points that coincide mod p: the rank mod
     # p is that of one double point, so the certificate fails and Bareiss decides.
     cfg = PointConfiguration(1, ((1, 0), (1, PRIME)))
     assert codimension(3, cfg) == 4 == sympy_codimension(3, list(cfg.points))
     assert columns_read == [4]
-    assert builds == [3]
+    assert bareiss_calls == [(4, 4)]
     plane = PointConfiguration(2, ((1, 0, 0), (1, PRIME, 0), (0, 0, 1)))
     assert codimension(5, plane) == 9 == sympy_codimension(5, list(plane.points))
-    assert builds == [3, 5]
+    assert bareiss_calls == [(4, 4), (9, 21)]
 
 
-def test_certificate_work_count(columns_read, builds):
+def test_certificate_work_count(columns_read, bareiss_calls):
     # Full rank at seeded points: the certificate reads 32 of the 816 columns.
     for seed in range(4):
         assert codimension(15, random_configuration(3, 8, random.Random(seed))) == 32
     assert columns_read == [32] * 4
-    assert builds == []
-    # The collinear probe is rank-deficient: every column is read, then Bareiss.
+    assert bareiss_calls == []
+    # The collinear probe is rank-deficient: every column is read, then Bareiss
+    # runs on the kept columns, 32 rows by 680.
     columns_read.clear()
     assert codimension(14, collinear_configuration(3, 8)) == 31
     assert columns_read == [680]
-    assert builds == [14]
+    assert bareiss_calls == [(32, 680)]
+
+
+def test_each_point_is_evaluated_once(columns_read, bareiss_calls, evaluations):
+    # The fallback reuses the certificate's exact columns: one degree-(d-1)
+    # evaluation per point, whether or not Bareiss runs.
+    assert codimension(14, collinear_configuration(3, 8)) == 31
+    assert evaluations == [13] * 8
+    assert columns_read == [680]
+    assert bareiss_calls == [(32, 680)]
+    evaluations.clear()
+    assert codimension(15, random_configuration(3, 8, random.Random(0))) == 32
+    assert evaluations == [14] * 8
+    assert columns_read == [680, 32]
+    assert bareiss_calls == [(32, 680)]
 
 
 # --- problem-size guard ---------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stablecoh import linalg
 from stablecoh.linalg import (
     PRIME,
     ExactMatrix,
@@ -50,32 +51,30 @@ def counted(columns, reads):
         yield column
 
 
-def test_certificate_stops_at_the_bound_plus_one():
-    builds = []
-
-    def exact(rows):
-        return lambda: builds.append(rows) or rows
-
+def test_certificate_stops_at_the_bound_plus_one(monkeypatch):
+    runs = []
+    bareiss = linalg.bareiss_rank
+    monkeypatch.setattr(linalg, "bareiss_rank", lambda rows: runs.append(rows) or bareiss(rows))
     # Full rank 2 is met after two of four columns; the rest are never read.
     rows = [[1, 0, 1, 2], [0, 1, 1, 3]]
     reads = []
-    assert certified_rank(counted(zip(*rows), reads), (2, 4), exact(rows)) == 2
-    assert len(reads) == 2 and builds == []
+    assert certified_rank(counted(zip(*rows), reads), (2, 4)) == 2
+    assert len(reads) == 2 and runs == []
     # With upper = 1 every column is read in search of a second pivot.
     rows = [[1, 2, 3], [2, 4, 6]]
     reads.clear()
-    assert certified_rank(counted(zip(*rows), reads), (2, 3), exact(rows), upper=1) == 1
-    assert len(reads) == 3 and builds == []
+    assert certified_rank(counted(zip(*rows), reads), (2, 3), upper=1) == 1
+    assert len(reads) == 3 and runs == []
     # A second pivot disproves upper = 1 as soon as it is read.
     rows = [[1, 0, 5], [0, 1, 7]]
     reads.clear()
     with pytest.raises(ValueError):
-        certified_rank(counted(zip(*rows), reads), (2, 3), exact(rows), upper=1)
-    assert len(reads) == 2 and builds == []
-    # Below the bound the exact rows are built once and Bareiss decides.
+        certified_rank(counted(zip(*rows), reads), (2, 3), upper=1)
+    assert len(reads) == 2 and runs == []
+    # Below the bound Bareiss decides once, on the kept columns as rows.
     rows = [[1, 2, 3], [2, 4, 6]]
-    assert certified_rank(zip(*rows), (2, 3), exact(rows)) == 1 == sympy_rank(rows)
-    assert builds == [rows]
+    assert certified_rank(zip(*rows), (2, 3)) == 1 == sympy_rank(rows)
+    assert [[list(r) for r in m] for m in runs] == [rows]
 
 
 def test_modular_column_rank_reads_dependent_columns_until_stop():

@@ -10,6 +10,7 @@ from stablecoh.tables import (
     gaussian_binomial,
     gl_cohomology,
     grassmannian_poincare,
+    half_tate,
     twisted_config_bm,
 )
 
@@ -51,7 +52,29 @@ def test_gaussian_at_two_counts_binary_subspaces():
             assert value == count_subspaces_f2(m, l)
 
 
+def test_gaussian_matches_q_pascal_recurrence():
+    # Reference: [m, l] = [m-1, l-1] + q^l [m-1, l], built row by row.
+    row = [(1,)]
+    for m in range(1, 40):
+        above = row + [()]
+        row = [(1,)]
+        for l in range(1, m + 1):
+            out = [0] * (l * (m - l) + 1)
+            for i, c in enumerate(above[l - 1]):
+                out[i] += c
+            for i, c in enumerate(above[l]):
+                out[i + l] += c
+            row.append(tuple(out))
+        assert [gaussian_binomial(m, l) for l in range(m + 1)] == row, m
+
+
 # --- graded Tate tables -----------------------------------------------------------
+
+
+def test_half_tate_rejects_odd_degrees():
+    assert half_tate(-4) == -2
+    with pytest.raises(ValueError, match="non-integral"):
+        half_tate(7)
 
 
 def test_graded_tate_merges_components():
