@@ -13,13 +13,12 @@ are the machine contract: 0 computed/verified, 1 falsified or unverified,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import random
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .conditions import (
@@ -54,8 +53,7 @@ class UsageError(Exception):
     """Invalid invocation detected after argparse; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """One subcommand's outcome: the JSON payload, CSV rows and table lines.
 
     `ok` False means a checked property failed or a scan gave up (exit 1).
@@ -130,6 +128,8 @@ def emit(args, seed: int, seed_source: str, report: Report) -> None:
         }
         text = json.dumps(envelope, indent=2) + "\n"
     elif args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(report.csv_rows)
         text = buf.getvalue()

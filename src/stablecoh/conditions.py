@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+import sys
 from functools import lru_cache
 from math import prod
 from operator import getitem
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .linalg import ExactMatrix, certified_rank, integer_rank, kernel_basis
 from .monomials import enumerate_monomials, monomial_index
@@ -32,6 +31,19 @@ from .points import (
 
 class StabilizationError(RuntimeError):
     """A scan failed to reach the expected stable value within its degree budget."""
+
+
+def __getattr__(name: str):
+    # The process pool, and the multiprocessing it loads, is imported on first
+    # use only: most commands never start one. The class is then cached as a
+    # module attribute, which is where _map_trials looks it up, so a stand-in
+    # assigned to conditions.ProcessPoolExecutor is honoured.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # Most entries a matrix may have: about 100 MB of 70-160-bit integers, and
@@ -239,13 +251,13 @@ def _map_trials(worker, args_list, jobs: int):
     workers = min(jobs, len(args_list), os.cpu_count() or 1)
     if workers > 1:
         chunk = max(1, len(args_list) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=workers) as pool:
             return list(pool.map(worker, args_list, chunksize=chunk))
     return [worker(args) for args in args_list]
 
 
-@dataclass(frozen=True)
-class CollinearProbe:
+class CollinearProbe(NamedTuple):
     """Codimension of the collinear probe configuration at degree 2N-2."""
 
     degree: int
@@ -270,8 +282,7 @@ class CollinearProbe:
         }
 
 
-@dataclass(frozen=True)
-class CodimLemmaReport:
+class CodimLemmaReport(NamedTuple):
     """Outcome of the randomized codimension check plus the sharpness probe."""
 
     params: ParameterTriple
@@ -363,8 +374,7 @@ def verify_codim_lemma(
     )
 
 
-@dataclass(frozen=True)
-class RegularityScan:
+class RegularityScan(NamedTuple):
     """Symbolic Hilbert values near the top of a stabilization scan."""
 
     stabilization_degree: int

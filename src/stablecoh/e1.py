@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import ParameterTriple, coefficient_space_dim
 from .tables import (
@@ -24,9 +24,21 @@ from .tables import (
     twisted_config_bm,
 )
 
+# Largest projective dimension n that assemble_e1 (band, e1-page) and
+# verify_stable_match (stable-verify) accept. Their time and memory grow as n^3
+# to n^4: at n = 64 each command takes at most 0.7 s and 83 MB (e1-page), at
+# n = 128 stable-verify takes 9 s and 340 MB, and band --n 1100 passed 2 GB.
+# Every golden, acceptance and benchmark case has n <= 12. Larger n raise
+# ValueError (exit 2 in the CLI) instead of running for minutes.
+MAX_E1_DIMENSION = 64
 
-@dataclass(frozen=True)
-class StratumSupport:
+
+def _check_dimension(n: int) -> None:
+    if n > MAX_E1_DIMENSION:
+        raise ValueError(f"problem too large: n = {n} exceeds {MAX_E1_DIMENSION}")
+
+
+class StratumSupport(NamedTuple):
     """Borel-Moore homology of one column, with its predicted degree window."""
 
     column: int
@@ -34,8 +46,7 @@ class StratumSupport:
     degree_range: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class E1Page:
+class E1Page(NamedTuple):
     """Assembled first page: columns 1..n+1 plus the column-N threshold data."""
 
     params: ParameterTriple
@@ -96,6 +107,7 @@ def assemble_e1(params: ParameterTriple) -> E1Page:
     emitted rather than an error.
     """
     d, n, N = params.d, params.n, params.N
+    _check_dimension(n)
     c = params.coefficient_dim
     notes = []
     if N < 3:
@@ -118,8 +130,7 @@ def assemble_e1(params: ParameterTriple) -> E1Page:
     )
 
 
-@dataclass(frozen=True)
-class DualClass:
+class DualClass(NamedTuple):
     """One Alexander-dual class of the complement, tracked back to its column."""
 
     column: int
@@ -163,8 +174,7 @@ def alexander_dual(page: E1Page) -> GradedTateVector:
     )
 
 
-@dataclass(frozen=True)
-class StableMatchReport:
+class StableMatchReport(NamedTuple):
     """Comparison of the dual-degree multiset with the general-linear table."""
 
     n: int
@@ -202,6 +212,7 @@ def verify_stable_match(n: int) -> StableMatchReport:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    _check_dimension(n)
     stratum: Counter = Counter()
     stratum_weighted: Counter = Counter()
     for l in range(1, n + 2):
@@ -229,8 +240,7 @@ def verify_stable_match(n: int) -> StableMatchReport:
     )
 
 
-@dataclass(frozen=True)
-class BandReport:
+class BandReport(NamedTuple):
     """Vanishing check for the cohomological band between (n+1)^2 and N."""
 
     params: ParameterTriple
@@ -286,8 +296,7 @@ def vanishing_band(params: ParameterTriple) -> BandReport:
     )
 
 
-@dataclass(frozen=True)
-class PredictionRow:
+class PredictionRow(NamedTuple):
     """Predicted cohomology of the non-singular locus in one stable degree."""
 
     degree: int
@@ -304,8 +313,7 @@ class PredictionRow:
         }
 
 
-@dataclass(frozen=True)
-class StableRangeReport:
+class StableRangeReport(NamedTuple):
     """Predictions in the stable band k < (d+1)/2 for a fixed (d, n)."""
 
     d: int

@@ -24,10 +24,9 @@ vectors, so identical inputs give byte-identical bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # The largest prime below 2^30: every residue fits in one CPython digit, which
 # keeps the elimination loop on single-digit integers.
@@ -192,20 +191,24 @@ def kernel_basis(rows: Sequence[Sequence[int]], n_cols: int) -> tuple[tuple[int,
     return tuple(basis)
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Dense matrix of arbitrary-precision integers."""
-
+class _Matrix(NamedTuple):
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError(f"expected {self.cols} columns, got {len(row)}")
+
+class ExactMatrix(_Matrix):
+    """Dense matrix of arbitrary-precision integers."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> ExactMatrix:
+        if len(entries) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(entries)}")
+        for row in entries:
+            if len(row) != cols:
+                raise ValueError(f"expected {cols} columns, got {len(row)}")
+        return super().__new__(cls, rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], cols: int) -> "ExactMatrix":

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 
 def coefficient_space_dim(d: int, n: int) -> int:
@@ -21,18 +21,22 @@ def check_dimension_and_count(n: int, N: int) -> None:
         raise ValueError(f"point count must be >= 1, got {N}")
 
 
-@dataclass(frozen=True)
-class ParameterTriple:
-    """A (d, n, N) triple: form degree, projective dimension, point count."""
-
+class _Triple(NamedTuple):
     d: int
     n: int
     N: int
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"degree must be >= 1, got {self.d}")
-        check_dimension_and_count(self.n, self.N)
+
+class ParameterTriple(_Triple):
+    """A (d, n, N) triple: form degree, projective dimension, point count."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, n: int, N: int) -> ParameterTriple:
+        if d < 1:
+            raise ValueError(f"degree must be >= 1, got {d}")
+        check_dimension_and_count(n, N)
+        return super().__new__(cls, d, n, N)
 
     @property
     def coefficient_dim(self) -> int:

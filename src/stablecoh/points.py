@@ -18,16 +18,18 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .linalg import integer_rank
 
-Coord = int | Fraction
-Point = tuple[Coord, ...]
+if TYPE_CHECKING:
+    # Annotations only: fractions is imported where a 'p/q' token is parsed.
+    from fractions import Fraction
+
+    Coord = int | Fraction
+    Point = tuple[Coord, ...]
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
 
@@ -62,21 +64,24 @@ def _normal_form(point: Sequence[Coord]) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
-    """N pairwise-distinct points of projective n-space."""
-
+class _Configuration(NamedTuple):
     dimension: int
     points: tuple[Point, ...]
     # The normal form of each point, in the same order; see the module docstring.
-    integer_points: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    integer_points: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = self.dimension
+
+class PointConfiguration(_Configuration):
+    """N pairwise-distinct points of projective n-space."""
+
+    __slots__ = ()
+
+    def __new__(cls, dimension: int, points: tuple[Point, ...]) -> PointConfiguration:
+        n = dimension
         if n < 0:
             raise ValueError(f"projective dimension must be >= 0, got {n}")
         seen: dict[tuple[int, ...], int] = {}
-        for j, point in enumerate(self.points):
+        for j, point in enumerate(points):
             if len(point) != n + 1:
                 raise ValueError(
                     f"point {j} has {len(point)} coordinates, expected {n + 1}"
@@ -88,7 +93,11 @@ class PointConfiguration:
                 raise ValueError(f"points {seen[key]} and {j} coincide projectively")
             seen[key] = j
         # The keys of `seen` are the normal forms, in point order.
-        object.__setattr__(self, "integer_points", tuple(seen))
+        return super().__new__(cls, dimension, points, tuple(seen))
+
+    def __getnewargs__(self) -> tuple[int, tuple[Point, ...]]:
+        # Unpickling calls __new__ with these, which derives integer_points again.
+        return self.dimension, self.points
 
     @property
     def count(self) -> int:
@@ -194,6 +203,8 @@ def _parse_coordinate(token: object, point: int, coord: int) -> Coord:
         text = token.strip()
         if not _RATIONAL_RE.fullmatch(text):
             raise PointsParseError(f"bad token {token!r}", point=point, coord=coord)
+        from fractions import Fraction
+
         try:
             value = Fraction(text)
         except ZeroDivisionError:

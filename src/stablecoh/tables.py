@@ -11,9 +11,8 @@ Conventions, fixed here once and reused everywhere downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 TateComponent = tuple[int, int]  # (dimension, tate index)
 
@@ -176,8 +175,7 @@ def twisted_config_bm(l: int, n: int) -> GradedTateVector:
     return grass.mapped(lambda deg, dim, tate: (deg + shift, dim, half_tate(deg + shift)))
 
 
-@dataclass(frozen=True)
-class GlGenerator:
+class GlGenerator(NamedTuple):
     """An odd-degree exterior generator of the cohomology of GL_{n+1}(C)."""
 
     index: int  # k = 0..n

@@ -4,7 +4,9 @@ import warnings
 
 import pytest
 
+from stablecoh import e1
 from stablecoh.e1 import (
+    MAX_E1_DIMENSION,
     E1Page,
     alexander_dual,
     assemble_e1,
@@ -160,6 +162,23 @@ def test_stable_match_through_n_twelve():
         assert not report.missing and not report.extra
     with pytest.raises(ValueError):
         verify_stable_match(-1)
+
+
+def test_large_dimension_is_refused_before_any_table(monkeypatch):
+    assert vanishing_band(ParameterTriple(5, MAX_E1_DIMENSION, 3)).params.n == MAX_E1_DIMENSION
+
+    def no_table(*args):
+        raise AssertionError("a table was built for an oversize dimension")
+
+    monkeypatch.setattr(e1, "stratum_bm", no_table)
+    monkeypatch.setattr(e1, "gaussian_binomial", no_table)
+    monkeypatch.setattr(e1, "gl_cohomology", no_table)
+    large = ParameterTriple(5, MAX_E1_DIMENSION + 1, 3)
+    message = f"problem too large: n = {MAX_E1_DIMENSION + 1} exceeds {MAX_E1_DIMENSION}"
+    for call in (lambda: assemble_e1(large), lambda: vanishing_band(large),
+                 lambda: verify_stable_match(MAX_E1_DIMENSION + 1)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_stable_match_total_dimension():
