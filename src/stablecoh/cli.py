@@ -32,6 +32,7 @@ from .conditions import (
 from .e1 import (
     alexander_dual,
     assemble_e1,
+    check_e1_dimension,
     dual_classes,
     stable_range_report,
     vanishing_band,
@@ -290,6 +291,7 @@ def cmd_config_homology(args, seed):
 
 
 def cmd_gl_cohomology(args, seed):
+    check_e1_dimension(args.n)
     generators, table = gl_cohomology(args.n)
     payload = {
         "n": args.n,

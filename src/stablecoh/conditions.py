@@ -124,8 +124,11 @@ def _singularity_columns(d: int, config: PointConfiguration) -> Iterator[list[in
 def codimension(d: int, config: PointConfiguration) -> int:
     """Number of independent conditions the singularities impose in degree d.
 
-    Certified from the columns read, reduced mod p; when the certificate
-    falls short, Bareiss decides on the same kept columns.
+    Certified from the columns read, reduced mod p. Below the smaller
+    dimension, as for the collinear probe at degree 2N-2, the pivot minor
+    and an exact left kernel of the pivot columns prove the rank from both
+    sides; only if the kernel check fails does Bareiss decide on the same
+    kept columns.
     """
     shape = _singularity_shape(d, config)
     return certified_rank(_singularity_columns(d, config), shape)

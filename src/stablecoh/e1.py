@@ -24,16 +24,16 @@ from .tables import (
     twisted_config_bm,
 )
 
-# Largest projective dimension n that assemble_e1 (band, e1-page) and
-# verify_stable_match (stable-verify) accept. Their time and memory grow as n^3
-# to n^4: at n = 64 each command takes at most 0.7 s and 83 MB (e1-page), at
-# n = 128 stable-verify takes 9 s and 340 MB, and band --n 1100 passed 2 GB.
+# Largest projective dimension n that band, e1-page, stable-verify,
+# stable-range and gl-cohomology accept. Time and memory grow as n^3 to n^4:
+# at n = 64 each takes at most 0.7 s and 83 MB (e1-page), the general-linear
+# table alone takes 4 s and 110 MB at n = 100, and band --n 1100 passed 2 GB.
 # Every golden, acceptance and benchmark case has n <= 12. Larger n raise
 # ValueError (exit 2 in the CLI) instead of running for minutes.
 MAX_E1_DIMENSION = 64
 
 
-def _check_dimension(n: int) -> None:
+def check_e1_dimension(n: int) -> None:
     if n > MAX_E1_DIMENSION:
         raise ValueError(f"problem too large: n = {n} exceeds {MAX_E1_DIMENSION}")
 
@@ -107,7 +107,7 @@ def assemble_e1(params: ParameterTriple) -> E1Page:
     emitted rather than an error.
     """
     d, n, N = params.d, params.n, params.N
-    _check_dimension(n)
+    check_e1_dimension(n)
     c = params.coefficient_dim
     notes = []
     if N < 3:
@@ -212,7 +212,7 @@ def verify_stable_match(n: int) -> StableMatchReport:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    _check_dimension(n)
+    check_e1_dimension(n)
     stratum: Counter = Counter()
     stratum_weighted: Counter = Counter()
     for l in range(1, n + 2):
@@ -348,6 +348,7 @@ def stable_range_report(d: int, n: int) -> StableRangeReport:
         raise ValueError(f"degree must be >= 3, got {d}")
     if n < 1:
         raise ValueError(f"projective dimension must be >= 1, got {n}")
+    check_e1_dimension(n)
     N = (d + 1) // 2
     max_stable = d // 2
     _, gl_table = gl_cohomology(n)

@@ -14,12 +14,18 @@ inside I^(2)). The rank mod p of any set of columns is at most
 rank_Q(A), so a rank that meets the bound is exact, and one that reaches
 bound + 1 proves a false `upper`. Only r independent columns are needed, so
 a full-rank matrix is certified after reading about r of them; a caller
-that passes a generator never builds the rest. The columns read are kept
-exact; below the bound (a rank-deficient matrix or an unlucky prime) every
-column has been read, and fraction-free Bareiss elimination over the
-integers decides on the kept columns. Floating point never enters. The same
-elimination, run as Gauss-Jordan, gives kernel bases as primitive integer
-vectors, so identical inputs give byte-identical bases.
+that passes a generator never builds the rest.
+
+Below the bound every column has been read and kept exact, and the rank r
+mod p is proven from both sides (Kaltofen, Nehring and Saunders, ISSAC
+2011): the pivot minor A[R, C] is nonzero mod p, hence over Z, and rows - r
+independent integer vectors y spanning the left kernel of A[:, C], an
+r x rows system, satisfy y.A = 0 over Z on every column. A matrix with more
+rows than columns is certified as its transpose. Only an unlucky prime
+fails the check, and then Bareiss elimination over the integers decides.
+Floating point never enters. The same forward elimination, followed by a
+fraction-free back-substitution, gives kernel bases as primitive integer
+vectors, byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -33,7 +39,9 @@ from typing import Iterable, NamedTuple, Sequence
 PRIME = 1073741789
 
 
-def modular_column_rank(columns: Iterable[Sequence[int]], stop: int) -> int:
+def modular_column_rank(
+    columns: Iterable[Sequence[int]], stop: int, pivots: list[tuple[int, int]] | None = None
+) -> int:
     """Rank over the field with PRIME elements of the matrix with these columns.
 
     Columns are read one at a time against a reduced echelon basis of the
@@ -45,19 +53,21 @@ def modular_column_rank(columns: Iterable[Sequence[int]], stop: int) -> int:
     Reading ends once the rank reaches `stop`, so columns past that point
     are never built when the caller passes a generator. The rank of a
     column subset mod p is at most the rank over the rationals of the whole
-    matrix.
+    matrix. Each pivot is appended to `pivots`, when given, as its row and
+    the index of its column; the minor at those rows and columns is nonzero
+    mod p, as the basis they span is the identity on the pivot rows.
     """
     if stop < 1:
         return 0
     p = PRIME
-    pivots: list[int] = []
-    # Non-pivot row i -> c with v[i] = sum(c[j] * v[pivots[j]]) for v in the span.
+    heads: list[int] = []
+    # Non-pivot row i -> c with v[i] = sum(c[j] * v[heads[j]]) for v in the span.
     coeffs: dict[int, list[int]] | None = None
-    for col in columns:
+    for j, col in enumerate(columns):
         v = [x % p for x in col]
         if coeffs is None:
             coeffs = {i: [] for i in range(len(v))}
-        head = [v[q] for q in pivots]
+        head = [v[q] for q in heads]
         residual = {i: (v[i] - sum(map(mul, c, head))) % p for i, c in coeffs.items()}
         q = next((i for i, x in residual.items() if x), None)
         if q is None:
@@ -71,20 +81,23 @@ def modular_column_rank(columns: Iterable[Sequence[int]], stop: int) -> int:
             if t:
                 coeffs[i] = [(a - t * b) % p for a, b in zip(c, top)]
             coeffs[i].append(t)
-        pivots.append(q)
-        if len(pivots) == stop:
+        heads.append(q)
+        if pivots is not None:
+            pivots.append((q, j))
+        if len(heads) == stop:
             break
-    return len(pivots)
+    return len(heads)
 
 
 def _eliminate(
-    rows: Sequence[Sequence[int]], n_cols: int, above: bool
+    rows: Sequence[Sequence[int]], n_cols: int
 ) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free (Bareiss) elimination: rows, pivot columns, last pivot.
+    """Forward fraction-free (Bareiss) elimination: rows, pivot columns, last pivot.
 
-    A pivot pv replaces each row it clears by (pv*row - f*head) / prev, an
-    exact division. It clears the rows below it, and with `above` the rows
-    above too (Gauss-Jordan), which leaves every pivot equal to the last one.
+    A pivot pv replaces each row below it by (pv*row - f*head) / prev, an
+    exact division. Row k then holds minors of the first k+1 rows: its entry
+    in column c is the minor on the first k pivot columns and c, so the last
+    pivot is the minor on every pivot column.
     """
     m = [list(row) for row in rows]
     n_rows = len(m)
@@ -98,14 +111,10 @@ def _eliminate(
         m[r], m[pivot] = m[pivot], m[r]
         head = m[r]
         pv = head[col]
-        # Rows below the pivot are zero left of it; rows above are not.
-        first = 0 if above else col + 1
-        for i in range(0 if above else r + 1, n_rows):
-            if i == r:
-                continue
+        for i in range(r + 1, n_rows):
             row = m[i]
             f = row[col]
-            for c in range(first, n_cols):
+            for c in range(col + 1, n_cols):
                 row[c] = (pv * row[c] - f * head[c]) // prev
             row[col] = 0
         prev = pv
@@ -116,7 +125,27 @@ def _eliminate(
 def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
     """Exact rank over the rationals, by forward fraction-free elimination."""
     n_cols = len(rows[0]) if rows else 0
-    return len(_eliminate(rows, n_cols, above=False)[1])
+    return len(_eliminate(rows, n_cols)[1])
+
+
+def _rank_certificate(
+    columns: Sequence[Sequence[int]], pivots: list[tuple[int, int]], n_rows: int
+) -> tuple[Sequence[Sequence[int]], list[int], list[int], tuple[tuple[int, ...], ...]] | None:
+    """Proof that the matrix with these columns has rank r = len(pivots).
+
+    The pivots' (row, column) pairs give a minor nonzero mod p; the kernel
+    is the left kernel of the pivot columns, checked over the integers
+    against every column. A matrix with fewer columns than rows is
+    certified as its transpose. Returns the certified columns, pivot rows,
+    pivot columns and kernel, or None when the check fails.
+    """
+    pivot_rows, pivot_cols = [i for i, _ in pivots], [j for _, j in pivots]
+    if len(columns) < n_rows:
+        columns, pivot_rows, pivot_cols = list(zip(*columns)), pivot_cols, pivot_rows
+    kernel = kernel_basis([columns[j] for j in pivot_cols], len(columns[0]))
+    if any(sum(map(mul, y, col)) for y in kernel for col in columns):
+        return None
+    return columns, pivot_rows, pivot_cols, kernel
 
 
 def certified_rank(
@@ -129,17 +158,20 @@ def certified_rank(
     columns are read mod PRIME until the rank reaches the bound plus one, or
     the smaller dimension: a rank mod p never exceeds the true rank, so one
     that meets the bound is exact, and one above it proves the bound false.
-    Below the bound (a rank-deficient matrix, a loose bound or an unlucky
-    prime) every column has been read, and Bareiss elimination decides on
-    the kept columns, in the orientation with fewer rows. A rank above
+    Below the bound every column has been read, and the rank r mod p is
+    proven by its pivot minor and an exact left kernel of dimension
+    min(rows, cols) - r; only if the kernel check fails does Bareiss decide
+    on the kept columns, in the orientation with fewer rows. A rank above
     `upper` raises ValueError.
     """
     n_rows, n_cols = shape
     smaller = min(n_rows, n_cols)
     bound = smaller if upper is None else min(upper, smaller)
     kept: list[Sequence[int]] = []
-    rank = modular_column_rank((kept.append(c) or c for c in columns), min(smaller, bound + 1))
-    if rank < bound:
+    pivots: list[tuple[int, int]] = []
+    stream = (kept.append(c) or c for c in columns)
+    rank = modular_column_rank(stream, min(smaller, bound + 1), pivots)
+    if rank < bound and _rank_certificate(kept, pivots, n_rows) is None:
         rank = bareiss_rank(kept if n_cols < n_rows else list(zip(*kept)))
     if rank > bound:
         raise ValueError(f"rank {rank} exceeds the claimed upper bound {upper}")
@@ -171,22 +203,26 @@ def kernel_basis(rows: Sequence[Sequence[int]], n_cols: int) -> tuple[tuple[int,
     """Basis of the right kernel as primitive integer vectors.
 
     One vector per free column, ordered by column index; the free coordinate
-    of each vector is positive. The shared elimination in Gauss-Jordan mode
-    leaves every pivot equal to one integer D, so D times the reduced row
-    echelon form is integral and the kernel vectors are read off it exactly.
-    The reduced form is unique, so the basis is deterministic byte for byte.
+    of each vector is positive. After forward fraction-free elimination, the
+    vector for free column f sets v_f = |D|, D the last pivot, and 0 at the
+    other free columns, then solves the echelon rows from the last one up.
+    By Cramer's rule every pivot coordinate is then a minor, an integer, so
+    each division is exact. That vector is the unique kernel vector with
+    these free coordinates, so the basis is deterministic byte for byte.
     """
-    m, pivots, prev = _eliminate(rows, n_cols, above=True)
-    sign = 1 if prev > 0 else -1
+    m, pivots, last = _eliminate(rows, n_cols)
+    scale = abs(last)
     pivot_set = set(pivots)
     basis = []
     for free in range(n_cols):
         if free in pivot_set:
             continue
         v = [0] * n_cols
-        v[free] = sign * prev
-        for r, col in enumerate(pivots):
-            v[col] = -sign * m[r][free]
+        v[free] = scale
+        for r in reversed(range(len(pivots))):
+            row, col = m[r], pivots[r]
+            later = sum(row[c] * v[c] for c in pivots[r + 1:])
+            v[col] = -(row[free] * scale + later) // row[col]
         basis.append(primitive_vector(v))
     return tuple(basis)
 

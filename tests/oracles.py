@@ -2,8 +2,9 @@
 
 Nothing here shares code with the library paths under test: subspaces are
 counted by explicit row-echelon enumeration over the two-element field,
-condition ranks are recomputed with sympy's own differentiation and rank, and
-kernel bases come from sympy's nullspace.
+condition ranks are recomputed with sympy's own differentiation and rank,
+kernel bases come from sympy's nullspace, and rank certificates are checked
+with sympy determinants and products.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 
 def count_subspaces_f2(m: int, l: int) -> int:
@@ -84,3 +86,25 @@ def sympy_kernel_basis(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
         g = gcd(*ints)
         basis.append(tuple(x // g for x in ints))
     return tuple(basis)
+
+
+def sympy_certified_rank(rows: list[list[int]], pivot_rows, pivot_cols, kernel) -> int:
+    """The rank a pivot-minor and left-kernel certificate proves, each check redone in sympy.
+
+    A matrix with more rows than columns is certified as its transpose. With
+    r pivots the minor at the pivot rows and columns must have a nonzero
+    determinant (rank >= r), and the kernel vectors must be rows - r
+    independent vectors y with y.A = 0 (rank <= r).
+    """
+    a = sympy.Matrix(rows)
+    if a.rows > a.cols:
+        a = a.T
+    r = len(pivot_rows)
+    assert len(pivot_cols) == r
+    if r:
+        minor = a.extract(list(pivot_rows), list(pivot_cols))
+        assert DomainMatrix.from_Matrix(minor).det() != 0
+    y = sympy.Matrix(len(kernel), a.rows, [x for vec in kernel for x in vec])
+    assert y.rows == a.rows - r and y.rank() == y.rows
+    assert (y * a).is_zero_matrix
+    return r

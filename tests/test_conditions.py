@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import comb, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,10 +30,11 @@ from stablecoh.points import (
     PointConfiguration,
     collinear_configuration,
     coordinate_configuration,
+    parse_points_json,
     random_configuration,
 )
 
-from oracles import sympy_codimension, sympy_rank
+from oracles import sympy_certified_rank, sympy_codimension, sympy_rank
 
 
 def plane_coords():
@@ -265,26 +267,78 @@ def test_certificate_work_count(columns_read, bareiss_calls):
         assert codimension(15, random_configuration(3, 8, random.Random(seed))) == 32
     assert columns_read == [32] * 4
     assert bareiss_calls == []
-    # The collinear probe is rank-deficient: every column is read, then Bareiss
-    # runs on the kept columns, 32 rows by 680.
+    # The collinear probe is rank-deficient: every column is read, and the
+    # pivot minor with an exact left kernel proves rank 31 without Bareiss.
     columns_read.clear()
     assert codimension(14, collinear_configuration(3, 8)) == 31
     assert columns_read == [680]
-    assert bareiss_calls == [(32, 680)]
+    assert bareiss_calls == []
 
 
 def test_each_point_is_evaluated_once(columns_read, bareiss_calls, evaluations):
-    # The fallback reuses the certificate's exact columns: one degree-(d-1)
-    # evaluation per point, whether or not Bareiss runs.
+    # The certificate reuses the exact columns read: one degree-(d-1)
+    # evaluation per point, whether or not the rank is deficient.
     assert codimension(14, collinear_configuration(3, 8)) == 31
     assert evaluations == [13] * 8
     assert columns_read == [680]
-    assert bareiss_calls == [(32, 680)]
+    assert bareiss_calls == []
     evaluations.clear()
     assert codimension(15, random_configuration(3, 8, random.Random(0))) == 32
     assert evaluations == [14] * 8
     assert columns_read == [680, 32]
-    assert bareiss_calls == [(32, 680)]
+    assert bareiss_calls == []
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """Patch the rank certificate to record each matrix it saw, as rows, and its result."""
+    issued = []
+    certify = linalg._rank_certificate
+
+    def recording(columns, pivots, n_rows):
+        certificate = certify(columns, pivots, n_rows)
+        issued.append(([list(row) for row in zip(*columns)], certificate))
+        return certificate
+
+    monkeypatch.setattr(linalg, "_rank_certificate", recording)
+    return issued
+
+
+def check_issued_certificate(d, cfg, certificates, bareiss_calls):
+    """The one certificate codimension issued passes the sympy oracle, without Bareiss."""
+    value = codimension(d, cfg)
+    [(rows, certificate)] = certificates
+    assert certificate is not None and bareiss_calls == []
+    assert sympy_certified_rank(rows, *certificate[1:]) == value
+    return value
+
+
+@pytest.mark.parametrize("d, n, N", [(14, 3, 8), (10, 4, 6), (22, 2, 12)])
+def test_collinear_probe_certificates_pass_the_oracle(d, n, N, certificates, bareiss_calls):
+    # The sharpness probes of the benchmark rungs: rank N(n+1) - 1 at degree 2N-2.
+    cfg = collinear_configuration(n, N)
+    assert check_issued_certificate(d, cfg, certificates, bareiss_calls) == N * (n + 1) - 1
+
+
+def test_sporadic_certificates_pass_the_oracle(certificates, bareiss_calls):
+    cases = {(n, d, N): cfg for n, d, N, cfg in alexander_hirschowitz_cases()}
+    for n, d, N in sorted(SPORADIC):
+        certificates.clear()
+        value = check_issued_certificate(d, cases[n, d, N], certificates, bareiss_calls)
+        assert value == min(N * (n + 1), comb(d + n, n)) - 1, (n, d, N)
+
+
+def test_golden_configuration_certificates_pass_the_oracle():
+    # Full rank at every degree, so codimension never needs the certificate;
+    # the helper still proves the rank, in both orientations (12 x 3 to 12 x 36).
+    cfg = parse_points_json((Path(__file__).parent / "golden" / "points.json").read_text())
+    for d in range(1, 8):
+        columns = list(conditions._singularity_columns(d, cfg))
+        pivots = []
+        rank = linalg.modular_column_rank(columns, len(columns), pivots)
+        certificate = linalg._rank_certificate(columns, pivots, len(columns[0]))
+        rows = [list(row) for row in zip(*columns)]
+        assert sympy_certified_rank(rows, *certificate[1:]) == rank == codimension(d, cfg)
 
 
 # --- problem-size guard ---------------------------------------------------------

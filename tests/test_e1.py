@@ -1,10 +1,12 @@
 """First-page assembly, Alexander duality, stable match, bands, weights."""
 
+import io
 import warnings
+from contextlib import redirect_stderr
 
 import pytest
 
-from stablecoh import e1
+from stablecoh import cli, e1
 from stablecoh.e1 import (
     MAX_E1_DIMENSION,
     E1Page,
@@ -179,6 +181,23 @@ def test_large_dimension_is_refused_before_any_table(monkeypatch):
                  lambda: verify_stable_match(MAX_E1_DIMENSION + 1)):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_general_linear_table_is_refused_above_the_same_dimension(monkeypatch):
+    assert stable_range_report(5, MAX_E1_DIMENSION).n == MAX_E1_DIMENSION
+
+    def no_table(*args):
+        raise AssertionError("a table was built for an oversize dimension")
+
+    monkeypatch.setattr(e1, "gl_cohomology", no_table)
+    monkeypatch.setattr(cli, "gl_cohomology", no_table)
+    message = f"problem too large: n = {MAX_E1_DIMENSION + 1} exceeds {MAX_E1_DIMENSION}"
+    with pytest.raises(ValueError, match=message):
+        stable_range_report(5, MAX_E1_DIMENSION + 1)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = cli.main(["gl-cohomology", "--n", str(MAX_E1_DIMENSION + 1)])
+    assert code == 2 and message in err.getvalue()
 
 
 def test_stable_match_total_dimension():

@@ -1,7 +1,9 @@
 """Exact linear algebra: rank engines agree and kernels annihilate."""
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stablecoh import linalg
 from stablecoh.linalg import (
@@ -71,9 +73,14 @@ def test_certificate_stops_at_the_bound_plus_one(monkeypatch):
     with pytest.raises(ValueError):
         certified_rank(counted(zip(*rows), reads), (2, 3), upper=1)
     assert len(reads) == 2 and runs == []
-    # Below the bound Bareiss decides once, on the kept columns as rows.
+    # Below the bound the pivot minor and an exact left kernel prove rank 1.
     rows = [[1, 2, 3], [2, 4, 6]]
     assert certified_rank(zip(*rows), (2, 3)) == 1 == sympy_rank(rows)
+    assert runs == []
+    # Rank 1 mod p but 2 over Z: the left kernel fails, and Bareiss decides
+    # once, on the kept columns as rows.
+    rows = [[1, 2, 3], [2, 4, 6 + PRIME]]
+    assert certified_rank(zip(*rows), (2, 3)) == 2 == sympy_rank(rows)
     assert [[list(r) for r in m] for m in runs] == [rows]
 
 
@@ -174,3 +181,33 @@ def test_kernel_dimension_complements_rank(rows):
 def test_kernel_basis_matches_sympy(rows):
     n_cols = len(rows[0])
     assert kernel_basis(rows, n_cols) == sympy_kernel_basis(rows)
+
+
+@st.composite
+def planted_low_rank(draw):
+    """B.C with B rows x k and C k x cols, k below both, and a copy shifted by multiples of p."""
+    n_rows, n_cols = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    k = draw(st.integers(0, min(n_rows, n_cols) - 1))
+    entries = st.integers(min_value=-3, max_value=3)
+    b = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=n_rows, max_size=n_rows))
+    c = draw(st.lists(st.lists(entries, min_size=n_cols, max_size=n_cols), min_size=k, max_size=k))
+    planted = [[sum(b[i][t] * c[t][j] for t in range(k)) for j in range(n_cols)] for i in range(n_rows)]
+    shifts = st.lists(st.integers(min_value=-2, max_value=2), min_size=n_cols, max_size=n_cols)
+    multiples = draw(st.lists(shifts, min_size=n_rows, max_size=n_rows))
+    shifted = [[x + s * PRIME for x, s in zip(row, ks)] for row, ks in zip(planted, multiples)]
+    return planted, shifted
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(planted_low_rank())
+def test_planted_rank_is_certified_and_shifted_copies_fall_back(case):
+    planted, shifted = case
+    shape = (len(planted), len(planted[0]))
+    with mock.patch.object(linalg, "bareiss_rank", wraps=linalg.bareiss_rank) as bareiss:
+        rank = certified_rank(zip(*planted), shape)
+        assert rank == sympy_rank(planted) and bareiss.call_count == 0
+        # The shifted copy has the same rank mod p; where its rank over the
+        # rationals is larger, only the exact kernel check can notice.
+        exact = sympy_rank(shifted)
+        assume(exact > rank)
+        assert certified_rank(zip(*shifted), shape) == exact and bareiss.call_count == 1
