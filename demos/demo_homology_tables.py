@@ -18,7 +18,7 @@ from stablecoh import (
 def render(table):
     return ", ".join(
         f"H_{deg} = Q({tate})^{dim}" if dim > 1 else f"H_{deg} = Q({tate})"
-        for deg, dim, tate in table.csv_rows()
+        for deg, dim, tate in table.iter_components()
     )
 
 

@@ -20,7 +20,8 @@ print()
 print("columns (number of prescribed singular points -> BM degrees):")
 for l, support in sorted(page.columns.items()):
     degs = ", ".join(
-        f"{deg} (dim {dim}, Q({tate}))" for deg, dim, tate in support.bm_table.csv_rows()
+        f"{deg} (dim {dim}, Q({tate}))"
+        for deg, dim, tate in support.bm_table.iter_components()
     )
     print(f"  l={l}: {degs}   predicted window {support.degree_range}")
 print(f"column N={params.N} vanishes from BM degree {page.fn_threshold} upward")

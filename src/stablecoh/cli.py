@@ -1,13 +1,13 @@
 """Command-line surface: reproducible, machine-readable verification runs.
 
 One subcommand per verifiable artifact, declared in the COMMANDS table. Each
-handler returns one Report, which `emit` renders as JSON, CSV or a table, so
-all three formats live in this module. Every report embeds the parameters,
-the effective seed, and the library version; JSON output is byte-identical
-for identical (subcommand, flags, seed) regardless of --jobs, because trial
-seeds are derived up front and aggregation is order-independent. Exit codes
-are the machine contract: 0 computed/verified, 1 falsified or unverified,
-2 usage error.
+handler builds one Report from the library's plain records, which `emit`
+renders as JSON, CSV or a table, so all three formats live in this module.
+Every report embeds the parameters, the effective seed, and the library
+version; JSON output is byte-identical for identical (subcommand, flags,
+seed) regardless of --jobs, because trial seeds are derived up front and
+aggregation is order-independent. Exit codes are the machine contract: 0
+computed/verified, 1 falsified or unverified, 2 usage error.
 """
 
 from __future__ import annotations
@@ -142,8 +142,11 @@ def emit(args, seed: int, seed_source: str, report: Report) -> None:
         ]
         text = "\n".join(header + report.lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write report: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -154,9 +157,14 @@ def _failed(params: dict, payload: dict) -> Report:
     return Report(params, payload, [("error",), (error,)], [f"error: {error}"], ok=False)
 
 
+def _pure(table) -> dict:
+    """A pure table's {degree: (dim, tate)} JSON form; a mixed degree raises."""
+    return {deg: table.single(deg) for deg in table.degrees()}
+
+
 def _table_report(params: dict, payload: dict, table, *, total_line: bool = False) -> Report:
     """Report of one graded table: a degree/dim/tate row and line per component."""
-    rows = table.csv_rows()
+    rows = list(table.iter_components())
     total = table.total_dimension()
     lines = [f"degree {deg}: dim {dim}, tate {tate}" for deg, dim, tate in rows]
     if total_line:
@@ -191,7 +199,16 @@ def cmd_codim(args, seed):
 def cmd_verify_lemma(args, seed):
     params_t = ParameterTriple(args.d, args.n, args.N)
     report = verify_codim_lemma(params_t, args.trials, seed, jobs=args.jobs)
-    payload = {**report.to_json_obj(), "trials": args.trials}
+    probe = report.collinear
+    payload = {
+        "expected_codimension": report.expected,
+        "in_guaranteed_range": report.in_guaranteed_range,
+        "results": [{"trial": i, "codimension": v} for i, v in enumerate(report.codimensions)],
+        "counterexamples": report.counterexamples,
+        "collinear_probe": probe._asdict() if probe else None,
+        "verified": report.verified,
+        "trials": args.trials,
+    }
     params = {"d": args.d, "n": args.n, "N": args.N, "trials": args.trials}
     csv_rows = [("trial", "codimension", "ok")] + [
         (i, v, v == report.expected) for i, v in enumerate(report.codimensions)
@@ -202,11 +219,10 @@ def cmd_verify_lemma(args, seed):
         + ",".join(str(v) for v in sorted(set(report.codimensions))),
         f"counterexamples: {len(report.counterexamples)}",
     ]
-    if report.collinear:
-        pr = report.collinear
+    if probe:
         lines.append(
-            f"collinear probe at d={pr.degree}: codimension {pr.codimension} "
-            f"(ceiling {pr.max_allowed}, line bound {pr.line_bound})"
+            f"collinear probe at d={probe.degree}: codimension {probe.codimension} "
+            f"(ceiling {probe.max_allowed}, line bound {probe.line_bound})"
         )
     lines.append(f"verified: {report.verified}")
     return Report(params, payload, csv_rows, lines, report.verified)
@@ -280,14 +296,13 @@ def cmd_d0_scan(args, seed):
 def cmd_grassmann(args, seed):
     table = grassmannian_poincare(args.l, args.n)
     params = {"l": args.l, "n": args.n}
-    return _table_report(params, {**params, "table": table.to_json_obj()}, table,
-                         total_line=True)
+    return _table_report(params, {**params, "table": _pure(table)}, table, total_line=True)
 
 
 def cmd_config_homology(args, seed):
     table = twisted_config_bm(args.l, args.n)
     params = {"l": args.l, "n": args.n}
-    return _table_report(params, {**params, "table": table.to_json_obj()}, table)
+    return _table_report(params, {**params, "table": _pure(table)}, table)
 
 
 def cmd_gl_cohomology(args, seed):
@@ -299,15 +314,24 @@ def cmd_gl_cohomology(args, seed):
             {"index": g.index, "degree": g.degree, "hodge": list(g.hodge_type)}
             for g in generators
         ],
-        "table": table.to_json_multi(),
+        "table": table.entries,
     }
     return _table_report({"n": args.n}, payload, table)
 
 
 def cmd_e1_page(args, seed):
     page = assemble_e1(ParameterTriple(args.d, args.n, args.N))
-    payload = {**page.to_json_obj(), "dual": alexander_dual(page).to_json_multi()}
     params = {"d": args.d, "n": args.n, "N": args.N}
+    payload = {
+        "params": params,
+        "c": page.coefficient_dim,
+        "columns": {l: _pure(support.bm_table) for l, support in page.columns.items()},
+        "fN_threshold": page.fn_threshold,
+        "phi_bounds": dict(enumerate(page.phi_dim_bounds)),
+        "guaranteed": page.guaranteed,
+        "regime_notes": page.regime_notes,
+        "dual": alexander_dual(page).entries,
+    }
     csv_rows = [("l", "bm_degree", "dual_degree", "dim", "weight")] + [
         (cls.column, cls.bm_degree, cls.dual_degree, cls.dim, cls.weight)
         for cls in dual_classes(page)
@@ -332,12 +356,23 @@ def cmd_stable_verify(args, seed):
         "gl degrees:      " + ",".join(map(str, report.gl_degrees)),
         f"matched: {report.matched} (weights: {report.weights_matched})",
     ]
-    return Report({"n": args.n}, report.to_json_obj(), csv_rows, lines, report.matched)
+    return Report({"n": args.n}, report._asdict(), csv_rows, lines, report.matched)
 
 
 def cmd_band(args, seed):
     report = vanishing_band(ParameterTriple(args.d, args.n, args.N))
     params = {"d": args.d, "n": args.n, "N": args.N}
+    payload = {
+        "params": params,
+        "c": report.coefficient_dim,
+        "band": report.band,
+        "bm_window": report.bm_window,
+        "supports": report.supports,
+        "minimal_support": report.minimal_support,
+        "verified": report.verified,
+        "guaranteed": report.guaranteed,
+        "regime_notes": report.regime_notes,
+    }
     lo, hi = report.bm_window
     csv_rows = [("bm_degree", "in_forbidden_window")] + [
         (deg, lo <= deg <= hi) for deg in report.supports
@@ -348,11 +383,18 @@ def cmd_band(args, seed):
         "supports: " + ",".join(map(str, report.supports)),
         f"verified: {report.verified}",
     ]
-    return Report(params, report.to_json_obj(), csv_rows, lines, report.verified)
+    return Report(params, payload, csv_rows, lines, report.verified)
 
 
 def cmd_stable_range(args, seed):
     report = stable_range_report(args.d, args.n)
+    payload = {
+        "params": {"d": report.d, "n": report.n, "N": report.N},
+        "max_stable_degree": report.max_stable_degree,
+        "rows": [row._asdict() for row in report.rows],
+        "band_covers_gl": report.band_covers_gl,
+        "stable_positive_dim": report.stable_positive_dim,
+    }
     csv_rows = [("degree", "dim", "tate", "weight", "factors")]
     for row in report.rows:
         if row.components:
@@ -362,7 +404,7 @@ def cmd_stable_range(args, seed):
             csv_rows.append((row.degree, 0, "", "", ""))
     lines = [f"stable band: k <= {report.max_stable_degree} (N = {report.N})"]
     lines += [f"H^{row.degree}: dim {row.dim}" for row in report.rows]
-    return Report({"d": args.d, "n": args.n}, report.to_json_obj(), csv_rows, lines)
+    return Report({"d": args.d, "n": args.n}, payload, csv_rows, lines)
 
 
 # --- the command table --------------------------------------------------------

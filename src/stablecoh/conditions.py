@@ -272,43 +272,17 @@ class CollinearProbe(NamedTuple):
     within_line_bound: bool
     equals_line_bound: bool
 
-    def to_json_obj(self) -> dict:
-        return {
-            "degree": self.degree,
-            "points": self.points,
-            "codimension": self.codimension,
-            "max_allowed": self.max_allowed,
-            "line_bound": self.line_bound,
-            "below_generic": self.below_generic,
-            "within_line_bound": self.within_line_bound,
-            "equals_line_bound": self.equals_line_bound,
-        }
-
 
 class CodimLemmaReport(NamedTuple):
     """Outcome of the randomized codimension check plus the sharpness probe."""
 
     params: ParameterTriple
-    trials: int
-    seed: int
     expected: int
     codimensions: tuple[int, ...]
     counterexamples: tuple[dict, ...]
     collinear: CollinearProbe | None
     in_guaranteed_range: bool
     verified: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "expected_codimension": self.expected,
-            "in_guaranteed_range": self.in_guaranteed_range,
-            "results": [
-                {"trial": i, "codimension": v} for i, v in enumerate(self.codimensions)
-            ],
-            "counterexamples": list(self.counterexamples),
-            "collinear_probe": self.collinear.to_json_obj() if self.collinear else None,
-            "verified": self.verified,
-        }
 
 
 def verify_codim_lemma(
@@ -366,8 +340,6 @@ def verify_codim_lemma(
     )
     return CodimLemmaReport(
         params=params,
-        trials=trials,
-        seed=seed,
         expected=expected,
         codimensions=codims,
         counterexamples=tuple(counterexamples),

@@ -41,7 +41,6 @@ def check_e1_dimension(n: int) -> None:
 class StratumSupport(NamedTuple):
     """Borel-Moore homology of one column, with its predicted degree window."""
 
-    column: int
     bm_table: GradedTateVector
     degree_range: tuple[int, int]
 
@@ -63,20 +62,6 @@ class E1Page(NamedTuple):
             degs.update(support.bm_table.degrees())
         return tuple(sorted(degs))
 
-    def to_json_obj(self) -> dict:
-        return {
-            "params": {"d": self.params.d, "n": self.params.n, "N": self.params.N},
-            "c": self.coefficient_dim,
-            "columns": {
-                str(l): self.columns[l].bm_table.to_json_obj()
-                for l in sorted(self.columns)
-            },
-            "fN_threshold": self.fn_threshold,
-            "phi_bounds": {str(l): b for l, b in enumerate(self.phi_dim_bounds)},
-            "guaranteed": self.guaranteed,
-            "regime_notes": list(self.regime_notes),
-        }
-
 
 def stratum_bm(d: int, n: int, l: int) -> StratumSupport:
     """Borel-Moore homology of the column-l stratum.
@@ -96,7 +81,7 @@ def stratum_bm(d: int, n: int, l: int) -> StratumSupport:
     )
     low = 2 * c - l * (2 * n + 2 - l) - 1
     high = 2 * c - l * l - 1
-    return StratumSupport(column=l, bm_table=table, degree_range=(low, high))
+    return StratumSupport(bm_table=table, degree_range=(low, high))
 
 
 def assemble_e1(params: ParameterTriple) -> E1Page:
@@ -185,20 +170,6 @@ class StableMatchReport(NamedTuple):
     extra: dict[int, int]     # in the strata but not the general-linear table
     weights_matched: bool
 
-    def to_json_obj(self) -> dict:
-        def as_obj(counts: dict[int, int]) -> dict[str, int]:
-            return {str(k): v for k, v in sorted(counts.items())}
-
-        return {
-            "n": self.n,
-            "matched": self.matched,
-            "stratum_degrees": as_obj(self.stratum_degrees),
-            "gl_degrees": as_obj(self.gl_degrees),
-            "missing": as_obj(self.missing),
-            "extra": as_obj(self.extra),
-            "weights_matched": self.weights_matched,
-        }
-
 
 def verify_stable_match(n: int) -> StableMatchReport:
     """Check that the columns reproduce the general-linear cohomology degrees.
@@ -253,19 +224,6 @@ class BandReport(NamedTuple):
     guaranteed: bool
     regime_notes: tuple[str, ...]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "params": {"d": self.params.d, "n": self.params.n, "N": self.params.N},
-            "c": self.coefficient_dim,
-            "band": list(self.band),
-            "bm_window": list(self.bm_window),
-            "supports": list(self.supports),
-            "minimal_support": self.minimal_support,
-            "verified": self.verified,
-            "guaranteed": self.guaranteed,
-            "regime_notes": list(self.regime_notes),
-        }
-
 
 def vanishing_band(params: ParameterTriple) -> BandReport:
     """Verify the cohomology bound vanishes strictly between (n+1)^2 and N.
@@ -304,14 +262,6 @@ class PredictionRow(NamedTuple):
     components: tuple[tuple[int, int, int, int], ...]  # (dim, tate, weight, factors)
     moduli_dim: int
 
-    def to_json_obj(self) -> dict:
-        return {
-            "degree": self.degree,
-            "dim": self.dim,
-            "components": [list(c) for c in self.components],
-            "moduli_dim": self.moduli_dim,
-        }
-
 
 class StableRangeReport(NamedTuple):
     """Predictions in the stable band k < (d+1)/2 for a fixed (d, n)."""
@@ -323,15 +273,6 @@ class StableRangeReport(NamedTuple):
     rows: tuple[PredictionRow, ...]
     band_covers_gl: bool
     stable_positive_dim: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "params": {"d": self.d, "n": self.n, "N": self.N},
-            "max_stable_degree": self.max_stable_degree,
-            "rows": [row.to_json_obj() for row in self.rows],
-            "band_covers_gl": self.band_covers_gl,
-            "stable_positive_dim": self.stable_positive_dim,
-        }
 
 
 def stable_range_report(d: int, n: int) -> StableRangeReport:

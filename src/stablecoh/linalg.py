@@ -39,10 +39,8 @@ from typing import Iterable, NamedTuple, Sequence
 PRIME = 1073741789
 
 
-def modular_column_rank(
-    columns: Iterable[Sequence[int]], stop: int, pivots: list[tuple[int, int]] | None = None
-) -> int:
-    """Rank over the field with PRIME elements of the matrix with these columns.
+def modular_column_rank(columns: Iterable[Sequence[int]], stop: int) -> list[tuple[int, int]]:
+    """Pivots of the matrix with these columns over the field with PRIME elements.
 
     Columns are read one at a time against a reduced echelon basis of the
     columns before them: one pivot row per basis column, where that column
@@ -53,14 +51,16 @@ def modular_column_rank(
     Reading ends once the rank reaches `stop`, so columns past that point
     are never built when the caller passes a generator. The rank of a
     column subset mod p is at most the rank over the rationals of the whole
-    matrix. Each pivot is appended to `pivots`, when given, as its row and
-    the index of its column; the minor at those rows and columns is nonzero
-    mod p, as the basis they span is the identity on the pivot rows.
+    matrix. Each pivot is returned as its row and the index of its column,
+    so the rank mod p is their number; the minor at those rows and columns
+    is nonzero mod p, as the basis they span is the identity on the pivot
+    rows.
     """
     if stop < 1:
-        return 0
+        return []
     p = PRIME
     heads: list[int] = []
+    pivots: list[tuple[int, int]] = []
     # Non-pivot row i -> c with v[i] = sum(c[j] * v[heads[j]]) for v in the span.
     coeffs: dict[int, list[int]] | None = None
     for j, col in enumerate(columns):
@@ -82,11 +82,10 @@ def modular_column_rank(
                 coeffs[i] = [(a - t * b) % p for a, b in zip(c, top)]
             coeffs[i].append(t)
         heads.append(q)
-        if pivots is not None:
-            pivots.append((q, j))
+        pivots.append((q, j))
         if len(heads) == stop:
             break
-    return len(heads)
+    return pivots
 
 
 def _eliminate(
@@ -168,9 +167,9 @@ def certified_rank(
     smaller = min(n_rows, n_cols)
     bound = smaller if upper is None else min(upper, smaller)
     kept: list[Sequence[int]] = []
-    pivots: list[tuple[int, int]] = []
     stream = (kept.append(c) or c for c in columns)
-    rank = modular_column_rank(stream, min(smaller, bound + 1), pivots)
+    pivots = modular_column_rank(stream, min(smaller, bound + 1))
+    rank = len(pivots)
     if rank < bound and _rank_certificate(kept, pivots, n_rows) is None:
         rank = bareiss_rank(kept if n_cols < n_rows else list(zip(*kept)))
     if rank > bound:

@@ -16,6 +16,13 @@ from typing import Iterable, Iterator, NamedTuple
 
 TateComponent = tuple[int, int]  # (dimension, tate index)
 
+# Largest Grassmannian table, in Gaussian-binomial coefficients l(n+1-l)+1,
+# that grassmann and config-homology build. Cost grows faster than the count,
+# since the coefficients also lengthen: 2.4 s and 73 MB at 49,730 (l = 223,
+# n = 445), 6.6 s and 137 MB at 90,301 (l = 300, n = 600). Larger tables raise
+# ValueError (exit 2 in the CLI) before any coefficient is computed.
+MAX_TABLE_COEFFICIENTS = 50_000
+
 
 class GradedTateVector:
     """Finitely supported table: degree -> Tate-twisted summands.
@@ -84,21 +91,6 @@ class GradedTateVector:
             fn(deg, dim, tate) for deg, dim, tate in self.iter_components()
         )
 
-    def to_json_obj(self) -> dict[str, list[int]]:
-        """The {degree: [dim, tate]} interchange form; requires a pure table."""
-        return {str(deg): [dim, tate] for deg, (dim, tate) in
-                ((d, self.single(d)) for d in self._entries)}
-
-    def to_json_multi(self) -> dict[str, list[list[int]]]:
-        """Mixed-weight form: each degree maps to a list of [dim, tate] pairs."""
-        return {
-            str(deg): [[dim, tate] for dim, tate in comps]
-            for deg, comps in self._entries.items()
-        }
-
-    def csv_rows(self) -> list[tuple[int, int, int]]:
-        return [(deg, dim, tate) for deg, dim, tate in self.iter_components()]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedTateVector) and self._entries == other._entries
 
@@ -155,6 +147,9 @@ def grassmannian_poincare(l: int, n: int) -> GradedTateVector:
         raise ValueError(f"l must be nonnegative, got {l}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    count = l * (n + 1 - l) + 1
+    if count > MAX_TABLE_COEFFICIENTS:
+        raise ValueError(f"problem too large: {count} coefficients exceeds {MAX_TABLE_COEFFICIENTS}")
     coeffs = gaussian_binomial(n + 1, l)
     return GradedTateVector.from_components(
         (2 * i, c, i) for i, c in enumerate(coeffs) if c
@@ -187,10 +182,6 @@ class GlGenerator(NamedTuple):
     @property
     def hodge_type(self) -> tuple[int, int]:
         return (self.index + 1, self.index + 1)
-
-    @property
-    def tate(self) -> int:
-        return -(self.index + 1)
 
 
 def gl_cohomology(n: int) -> tuple[tuple[GlGenerator, ...], GradedTateVector]:

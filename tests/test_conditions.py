@@ -334,11 +334,10 @@ def test_golden_configuration_certificates_pass_the_oracle():
     cfg = parse_points_json((Path(__file__).parent / "golden" / "points.json").read_text())
     for d in range(1, 8):
         columns = list(conditions._singularity_columns(d, cfg))
-        pivots = []
-        rank = linalg.modular_column_rank(columns, len(columns), pivots)
+        pivots = linalg.modular_column_rank(columns, len(columns))
         certificate = linalg._rank_certificate(columns, pivots, len(columns[0]))
         rows = [list(row) for row in zip(*columns)]
-        assert sympy_certified_rank(rows, *certificate[1:]) == rank == codimension(d, cfg)
+        assert sympy_certified_rank(rows, *certificate[1:]) == len(pivots) == codimension(d, cfg)
 
 
 # --- problem-size guard ---------------------------------------------------------

@@ -73,6 +73,11 @@ USAGE_ERRORS = {
     "band-too-large": ["band", "--d", "5", "--n", "1100", "--N", "3"],
     # The same limit for the general-linear table, which grows as n^4.
     "gl-cohomology-too-large": ["gl-cohomology", "--n", "100"],
+    # 50,177 Gaussian-binomial coefficients: refused before any is computed.
+    "grassmann-too-large": ["grassmann", "--l", "224", "--n", "447"],
+    # The report is computed, but it cannot be written.
+    "output-unwritable": ["grassmann", "--l", "2", "--n", "3",
+                          "--output", "/nonexistent/dir/r.json"],
 }
 
 

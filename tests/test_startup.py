@@ -59,7 +59,8 @@ def test_pool_class_is_loaded_on_first_use():
     assert result.returncode == 0, result.stderr
 
 
-def test_traced_run_writes_spans_and_counts_one_pool_start():
+def run_traced(*cli_args: str) -> tuple[dict, dict]:
+    """The JSON report and the span document of one run under bench/tracer.py."""
     # Two CPUs are claimed so that --jobs 2 starts a pool on any machine.
     code = (
         "import os, runpy, sys\n"
@@ -67,14 +68,30 @@ def test_traced_run_writes_spans_and_counts_one_pool_start():
         "sys.argv = ['tracer.py', *sys.argv[1:]]\n"
         "runpy.run_path('bench/tracer.py', run_name='__main__')\n"
     )
-    result = run_python(code, "contract", "d0-scan", "--n", "2", "--N", "3",
-                        "--trials", "4", "--jobs", "2", "--format", "json")
+    result = run_python(code, "contract", *cli_args, "--format", "json")
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout)["report"]["d0"] >= 1
     lines = [line for line in result.stderr.splitlines() if line.startswith(SPAN_MARKER)]
     assert len(lines) == 1
     doc = json.loads(lines[0][len(SPAN_MARKER):])
     assert doc["invocation"] == "contract"
+    return json.loads(result.stdout), doc
+
+
+def test_traced_run_writes_spans_and_counts_one_pool_start():
+    report, doc = run_traced("d0-scan", "--n", "2", "--N", "3", "--trials", "4", "--jobs", "2")
+    assert report["report"]["d0"] >= 1
     assert doc["counters"]["pool_starts"] == 1
     names = {span[0] for span in doc["spans"]}
     assert {"cli.main", "conditions.general_position_bound"} <= names
+
+
+def test_traced_matrix_builds_and_ranks_carry_their_shapes():
+    # The tracer reads .rows/.cols off the builders' results and the shape
+    # of integer_rank's argument; the ordinary square runs both.
+    _, doc = run_traced("hilbert", "--d", "4", "--n", "2", "--N", "3", "--seed", "3",
+                        "--jobs", "1")
+    for name in ("conditions.evaluation_matrix", "linalg.integer_rank"):
+        attrs = [span[4] for span in doc["spans"] if span[0] == name]
+        assert attrs, name
+        for attr in attrs:
+            assert attr["rows"] >= 1 and attr["cols"] >= 1, (name, attr)

@@ -90,9 +90,7 @@ def test_graded_tate_keeps_distinct_twists_apart():
     assert t.dimension(9) == 2
     with pytest.raises(ValueError):
         t.single(9)
-    with pytest.raises(ValueError):
-        t.to_json_obj()
-    assert t.to_json_multi() == {"9": [[1, -6], [1, -5]]}
+    assert t.entries == {9: ((1, -6), (1, -5))}
 
 
 def test_graded_tate_rejects_half_integral_twist():
@@ -209,4 +207,4 @@ def test_gl5_mixes_weights_in_degree_nine():
 
 def test_csv_rows_are_sorted_components():
     _, table = gl_cohomology(1)
-    assert table.csv_rows() == [(0, 1, 0), (1, 1, -1), (3, 1, -2), (4, 1, -3)]
+    assert list(table.iter_components()) == [(0, 1, 0), (1, 1, -1), (3, 1, -2), (4, 1, -3)]
