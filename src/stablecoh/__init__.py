@@ -23,7 +23,6 @@ from .conditions import (
     hilbert_function,
     ideal_degree_part,
     ordinary_square_dim,
-    singularity_matrix,
     symbolic_square_dim,
     verify_codim_lemma,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "ordinary_square_dim",
     "parse_points_json",
     "random_configuration",
-    "singularity_matrix",
     "stable_range_report",
     "stratum_bm",
     "symbolic_square_dim",

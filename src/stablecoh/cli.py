@@ -116,6 +116,17 @@ def load_configuration(args, seed: int) -> PointConfiguration:
     return config
 
 
+def _check_output(path: str) -> None:
+    """Refuse an unopenable --output before any work; change no file's bytes."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise UsageError(f"cannot write report: {exc}") from None
+    if not existed:
+        os.remove(path)
+
+
 def emit(args, seed: int, seed_source: str, report: Report) -> None:
     if args.format == "json":
         envelope = {
@@ -477,6 +488,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.jobs < 1:
             raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         seed, seed_source = resolve_seed(getattr(args, "seed", None))
+        if args.output:
+            _check_output(args.output)
         report = COMMANDS[args.command][0](args, seed)
         emit(args, seed, seed_source, report)
         return 0 if report.ok else 1

@@ -13,9 +13,8 @@ from __future__ import annotations
 import os
 import random
 import sys
-from functools import lru_cache
 from math import prod
-from operator import getitem
+from operator import add, getitem
 from typing import Iterator, NamedTuple
 
 from .linalg import ExactMatrix, certified_rank, integer_rank, kernel_basis
@@ -63,42 +62,6 @@ def _monomial_values(point: tuple[int, ...], e: int, n: int) -> list[int]:
     return [prod(map(getitem, pows, exps)) for exps in enumerate_monomials(e, n)]
 
 
-@lru_cache(maxsize=None)
-def _derivative_map(d: int, n: int) -> tuple[tuple[list[int], list[int]], ...]:
-    """Per variable i, each degree-d monomial's e_i and the position of e - eps_i.
-
-    Positions are in the graded-lex degree-(d-1) basis, and 0 when e_i = 0:
-    two lists of shared ints per variable, smaller than a pair per entry.
-    Cached like the monomial bases it is read from, since every trial of a
-    scan asks for the same (d, n).
-    """
-    mons = enumerate_monomials(d, n)
-    lower = monomial_index(d - 1, n)
-    return tuple(
-        (
-            [e[i] for e in mons],
-            [lower[e[:i] + (e[i] - 1,) + e[i + 1:]] if e[i] else 0 for e in mons],
-        )
-        for i in range(n + 1)
-    )
-
-
-def singularity_matrix(d: int, config: PointConfiguration) -> ExactMatrix:
-    """Matrix of the conditions 'all partial derivatives vanish at every point'.
-
-    One row per (point, partial derivative) pair, one column per degree-d
-    monomial in graded-lex order; the entry is the derivative of the column
-    monomial evaluated at the normal form of the row point, so every entry is
-    an integer. By the rule d/dx_i x^e = e_i x^(e - eps_i), it is e_i times
-    the value of one degree-(d-1) monomial, or 0 when e_i = 0. The kernel is
-    the degree-d part of the forms vanishing to order >= 2 at each
-    configuration point, so the rank is the codimension of that space inside
-    all degree-d forms. The rows are the transpose of the column stream.
-    """
-    cols = _singularity_shape(d, config)[1]
-    return ExactMatrix.from_rows(zip(*_singularity_columns(d, config)), cols)
-
-
 def _singularity_shape(d: int, config: PointConfiguration) -> tuple[int, int]:
     """Rows and columns of the singularity matrix, refused when too large."""
     if d < 1:
@@ -110,14 +73,19 @@ def _singularity_shape(d: int, config: PointConfiguration) -> tuple[int, int]:
 
 
 def _singularity_columns(d: int, config: PointConfiguration) -> Iterator[list[int]]:
-    """The singularity matrix's columns, each built when it is read.
+    """Columns of the singularity conditions, each built when it is read.
 
-    The degree-(d-1) values are computed once per point; column e then holds
-    e_i times the value at e - eps_i, one entry per (point, variable i) row.
+    One row per (point, variable i), one column per degree-d monomial e: the
+    entry is d/dx_i x^e = e_i x^(e - eps_i) at the point's normal form, so the
+    rank is the codimension of the forms vanishing to order >= 2 at every
+    point. The degree-(d-1) values are computed once per point; each column
+    looks up its n+1 partials among them as it is read.
     """
     n = config.dimension
     values = [_monomial_values(point, d - 1, n) for point in config.integer_points]
-    for partials in zip(*(zip(coeffs, positions) for coeffs, positions in _derivative_map(d, n))):
+    lower = monomial_index(d - 1, n)
+    for e in enumerate_monomials(d, n):
+        partials = [(k, lower[e[:i] + (k - 1,) + e[i + 1:]] if k else 0) for i, k in enumerate(e)]
         yield [k * vals[j] for vals in values for k, j in partials]
 
 
@@ -141,8 +109,8 @@ def symbolic_square_dim(d: int, config: PointConfiguration) -> int:
 
 def symbolic_square_basis(d: int, config: PointConfiguration) -> tuple[tuple[int, ...], ...]:
     """Primitive integer basis of the order-two vanishing forms in degree d."""
-    matrix = singularity_matrix(d, config)
-    return kernel_basis(matrix.entries, matrix.cols)
+    cols = _singularity_shape(d, config)[1]
+    return kernel_basis(list(zip(*_singularity_columns(d, config))), cols)
 
 
 def evaluation_matrix(e: int, config: PointConfiguration) -> ExactMatrix:
@@ -175,40 +143,26 @@ def ordinary_square_dim(d: int, config: PointConfiguration) -> int:
     n = config.dimension
     index = monomial_index(d, n)
     n_cols = len(index)
-    bases = {
-        e: (ideal_degree_part(e, config), enumerate_monomials(e, n))
+    # Each basis form of degree e as its nonzero (exponent, coefficient) terms.
+    terms = {
+        e: [[(m, c) for m, c in zip(enumerate_monomials(e, n), g) if c]
+            for g in ideal_degree_part(e, config)]
         for e in range(1, d)
     }
-    pairs = sum(len(bases[a][0]) * len(bases[d - a][0]) for a in range(1, d // 2 + 1))
+    pairs = sum(len(terms[a]) * len(terms[d - a]) for a in range(1, d // 2 + 1))
     _check_size(pairs, n_cols)
-    products: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    products: dict[tuple[int, ...], None] = {}
     for a in range(1, d // 2 + 1):
-        b = d - a
-        basis_a, mons_a = bases[a]
-        basis_b, mons_b = bases[b]
-        for g in basis_a:
-            for h in basis_b:
+        for g in terms[a]:
+            for h in terms[d - a]:
                 vec = [0] * n_cols
-                for ia, ga in enumerate(g):
-                    if not ga:
-                        continue
-                    ea = mons_a[ia]
-                    for ib, hb in enumerate(h):
-                        if not hb:
-                            continue
-                        eb = mons_b[ib]
-                        col = index[tuple(x + y for x, y in zip(ea, eb))]
-                        vec[col] += ga * hb
-                key = tuple(vec)
-                if key not in seen:
-                    seen.add(key)
-                    products.append(key)
-    if not products:
-        return 0
+                for ea, ga in g:
+                    for eb, hb in h:
+                        vec[index[tuple(map(add, ea, eb))]] += ga * hb
+                products[tuple(vec)] = None
     # I^2 lies inside I^(2), so the rank is at most dim I^(2)_d = n_cols minus
     # the codimension.
-    return integer_rank(products, n_cols - codimension(d, config))
+    return integer_rank(list(products), n_cols - codimension(d, config))
 
 
 def hilbert_function(d: int, config: PointConfiguration, mode: str = "symbolic") -> int:

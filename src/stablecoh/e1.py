@@ -11,18 +11,11 @@ reproduce the exterior-algebra table of the general linear group.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from typing import NamedTuple
 
 from .params import ParameterTriple, coefficient_space_dim
-from .tables import (
-    GradedTateVector,
-    gaussian_binomial,
-    gl_cohomology,
-    half_tate,
-    twisted_config_bm,
-)
+from .tables import GradedTateVector, gaussian_binomial, gl_cohomology, shifted_grassmannian
 
 # Largest projective dimension n that band, e1-page, stable-verify,
 # stable-range and gl-cohomology accept. Time and memory grow as n^3 to n^4:
@@ -66,30 +59,26 @@ class E1Page(NamedTuple):
 def stratum_bm(d: int, n: int, l: int) -> StratumSupport:
     """Borel-Moore homology of the column-l stratum.
 
-    The twisted configuration table in degree j lands in stratum degree
-    j + 2c - 2ln - l - 1 and picks up the fibre twist Q(c - l(n+1)), giving
-    Tate index j/2 + c - l(n+1). Support therefore runs from
-    2c - l(2n+2-l) - 1 up to 2c - l^2 - 1, with one fixed parity.
+    The twisted configuration table in degree j, which starts at l(l-1) with
+    Tate index l(l-1)/2, lands in stratum degree j + 2c - 2ln - l - 1 and
+    picks up the fibre twist Q(c - l(n+1)), giving Tate index
+    j/2 + c - l(n+1). Support therefore runs from 2c - l(2n+2-l) - 1 up to
+    2c - l^2 - 1, with one fixed parity.
     """
     if not 1 <= l <= n + 1:
         raise ValueError(f"column must be between 1 and n+1 = {n + 1}, got {l}")
     c = coefficient_space_dim(d, n)
-    degree_shift = 2 * c - 2 * l * n - l - 1
-    tate_shift = c - l * (n + 1)
-    table = twisted_config_bm(l, n).mapped(
-        lambda j, dim, tate: (j + degree_shift, dim, half_tate(j) + tate_shift)
-    )
     low = 2 * c - l * (2 * n + 2 - l) - 1
-    high = 2 * c - l * l - 1
-    return StratumSupport(bm_table=table, degree_range=(low, high))
+    table = shifted_grassmannian(l, n, low, l * (l - 1) // 2 + c - l * (n + 1))
+    return StratumSupport(bm_table=table, degree_range=(low, 2 * c - l * l - 1))
 
 
 def assemble_e1(params: ParameterTriple) -> E1Page:
     """Assemble columns 1..n+1 and the column-N vanishing data for (d, n, N).
 
     Outside the guaranteed regime (N >= 3, d >= 2N-1, N > n+1) the tables
-    are still computed but the page is stamped accordingly and a warning is
-    emitted rather than an error.
+    are still computed; the page records why in `regime_notes` and is marked
+    not `guaranteed`, rather than raising an error.
     """
     d, n, N = params.d, params.n, params.N
     check_e1_dimension(n)
@@ -101,8 +90,6 @@ def assemble_e1(params: ParameterTriple) -> E1Page:
         notes.append(f"d = {d} is below the degree bound 2N-1 = {2 * N - 1}")
     if N <= n + 1:
         notes.append(f"N = {N} does not exceed n+1 = {n + 1}")
-    for note in notes:
-        warnings.warn(f"outside guaranteed regime: {note}", stacklevel=2)
     columns = {l: stratum_bm(d, n, l) for l in range(1, n + 2)}
     return E1Page(
         params=params,
@@ -233,9 +220,7 @@ def vanishing_band(params: ParameterTriple) -> BandReport:
     2c - (n+1)^2 - 1, attained by the top column.
     """
     n, N = params.n, params.N
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        page = assemble_e1(params)
+    page = assemble_e1(params)
     c = page.coefficient_dim
     lo = 2 * c - N
     hi = 2 * c - (n + 1) ** 2 - 2

@@ -5,8 +5,9 @@ Conventions, fixed here once and reused everywhere downstream:
 * a table entry of Tate index m denotes a summand Q(m), of weight -2m;
 * degree-2i homology of a smooth compact variety carries Tate index i
   (dual to the cohomological convention Q(-i));
-* a Tate index j/2 is computed by integer halving, and every stored entry
-  must be integral; a half-integral index is a hard error, never rounded.
+* configuration and stratum tables are Grassmannian ones shifted by one
+  builder; the Tate shifts, such as l(l-1)/2, are integral by construction,
+  and from_components still rejects a non-integral index, never rounded.
 """
 
 from __future__ import annotations
@@ -85,12 +86,6 @@ class GradedTateVector:
             for dim, tate in comps:
                 yield degree, dim, tate
 
-    def mapped(self, fn) -> "GradedTateVector":
-        """Apply fn(degree, dim, tate) -> (degree, dim, tate) to every component."""
-        return GradedTateVector.from_components(
-            fn(deg, dim, tate) for deg, dim, tate in self.iter_components()
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedTateVector) and self._entries == other._entries
 
@@ -103,13 +98,6 @@ class GradedTateVector:
             for deg, comps in self._entries.items()
         )
         return f"GradedTateVector({{{inner}}})"
-
-
-def half_tate(degree: int) -> int:
-    """The Tate index degree/2 of a pure entry; an odd degree raises ValueError."""
-    if degree % 2:
-        raise ValueError(f"non-integral Tate index {degree}/2")
-    return degree // 2
 
 
 @lru_cache(maxsize=None)
@@ -137,11 +125,12 @@ def gaussian_binomial(m: int, l: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def grassmannian_poincare(l: int, n: int) -> GradedTateVector:
-    """Homology of the Grassmannian of l-dimensional subspaces of C^{n+1}.
+def shifted_grassmannian(l: int, n: int, degree: int, tate: int) -> GradedTateVector:
+    """The Gaussian binomial [n+1, l]_q as a table shifted by (degree, tate).
 
-    Degree 2i has dimension equal to the q^i coefficient of [n+1, l]_q and
-    Tate index i. l = n+1 gives the one-point table; l > n+1 the empty one.
+    The q^i coefficient lands in degree degree + 2i with Tate index tate + i.
+    Every table built from a Grassmannian goes through here, and so through
+    the MAX_TABLE_COEFFICIENTS guard.
     """
     if l < 0:
         raise ValueError(f"l must be nonnegative, got {l}")
@@ -150,10 +139,18 @@ def grassmannian_poincare(l: int, n: int) -> GradedTateVector:
     count = l * (n + 1 - l) + 1
     if count > MAX_TABLE_COEFFICIENTS:
         raise ValueError(f"problem too large: {count} coefficients exceeds {MAX_TABLE_COEFFICIENTS}")
-    coeffs = gaussian_binomial(n + 1, l)
     return GradedTateVector.from_components(
-        (2 * i, c, i) for i, c in enumerate(coeffs) if c
+        (degree + 2 * i, c, tate + i) for i, c in enumerate(gaussian_binomial(n + 1, l))
     )
+
+
+def grassmannian_poincare(l: int, n: int) -> GradedTateVector:
+    """Homology of the Grassmannian of l-dimensional subspaces of C^{n+1}.
+
+    Degree 2i has dimension equal to the q^i coefficient of [n+1, l]_q and
+    Tate index i. l = n+1 gives the one-point table; l > n+1 the empty one.
+    """
+    return shifted_grassmannian(l, n, 0, 0)
 
 
 def twisted_config_bm(l: int, n: int) -> GradedTateVector:
@@ -165,9 +162,7 @@ def twisted_config_bm(l: int, n: int) -> GradedTateVector:
     """
     if not 1 <= l <= n + 1:
         raise ValueError(f"l must be between 1 and n+1 = {n + 1}, got {l}")
-    shift = l * (l - 1)
-    grass = grassmannian_poincare(l, n)
-    return grass.mapped(lambda deg, dim, tate: (deg + shift, dim, half_tate(deg + shift)))
+    return shifted_grassmannian(l, n, l * (l - 1), l * (l - 1) // 2)
 
 
 class GlGenerator(NamedTuple):

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import warnings
 from importlib import resources
 from math import comb
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from stablecoh import cli
 from stablecoh.cli import COMMANDS, SEED_ENV_VAR, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -262,6 +264,43 @@ def test_output_file(capsys, tmp_path):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["report"]["verified"] is True
+
+
+def test_unwritable_output_is_refused_before_the_handler(capsys, monkeypatch, tmp_path):
+    def never(*args, **kwargs):
+        raise AssertionError("handler ran")
+
+    monkeypatch.setattr(cli, "verify_codim_lemma", never)
+    target = tmp_path / "missing" / "r.json"
+    code = main(["verify-lemma", "--d", "19", "--n", "3", "--N", "10", "--trials", "100",
+                 "--output", str(target)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"stablecoh: error: cannot write report: [Errno 2] No such file or directory: "
+        f"'{target}'\n"
+    )
+
+
+def test_failed_run_creates_no_output_and_keeps_an_existing_one(capsys, tmp_path):
+    too_large = ["codim", "--d", "60", "--n", "6", "--N", "2", "--output"]
+    target = tmp_path / "r.json"
+    assert main(too_large + [str(target)]) == 2
+    assert not target.exists()
+    target.write_bytes(b"earlier report\n")
+    assert main(too_large + [str(target)]) == 2
+    assert target.read_bytes() == b"earlier report\n"
+    assert "too large" in capsys.readouterr().err
+
+
+def test_e1_page_outside_regime_writes_nothing_to_stderr(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["e1-page", "--d", "3", "--n", "1", "--N", "2", "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err, caught) == (0, "", [])
+    report = json.loads(captured.out)["report"]
+    assert report["guaranteed"] is False
+    assert len(report["regime_notes"]) == 2
 
 
 def test_band_exit_matches_verified(capsys):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import comb, prod
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,6 @@ from stablecoh.conditions import (
     ideal_degree_part,
     ordinary_square_dim,
     regularity_profile,
-    singularity_matrix,
     symbolic_square_basis,
     symbolic_square_dim,
     verify_codim_lemma,
@@ -45,24 +45,28 @@ def p1_pair():
     return PointConfiguration(1, ((1, 0), (0, 1)))
 
 
-# --- singularity matrix -------------------------------------------------------
+# --- singularity columns -------------------------------------------------------
+
+
+def condition_rows(d, cfg):
+    """The streamed singularity columns, transposed to one row per condition."""
+    return list(zip(*conditions._singularity_columns(d, cfg)))
 
 
 def test_matrix_binary_quadrics_at_origin_chart():
-    m = singularity_matrix(2, PointConfiguration(1, ((1, 0),)))
-    assert m.entries == ((2, 0, 0), (0, 1, 0))
+    assert condition_rows(2, PointConfiguration(1, ((1, 0),))) == [(2, 0, 0), (0, 1, 0)]
 
 
 def test_matrix_linear_forms_constant_partials():
-    m = singularity_matrix(1, PointConfiguration(1, ((3, 5),)))
-    assert (m.rows, m.cols) == (2, 2)
-    assert integer_rank(m.entries) == 2
+    rows = condition_rows(1, PointConfiguration(1, ((3, 5),)))
+    assert (len(rows), len(rows[0])) == (2, 2)
+    assert integer_rank(rows) == 2
 
 
 def test_matrix_shape_and_rank_plane_conic():
-    m = singularity_matrix(2, PointConfiguration(2, ((1, 0, 0),)))
-    assert (m.rows, m.cols) == (3, 6)
-    assert integer_rank(m.entries) == 3
+    rows = condition_rows(2, PointConfiguration(2, ((1, 0, 0),)))
+    assert (len(rows), len(rows[0])) == (3, 6)
+    assert integer_rank(rows) == 3
 
 
 def test_matrix_rejects_degenerate_configs():
@@ -71,7 +75,7 @@ def test_matrix_rejects_degenerate_configs():
     with pytest.raises(ValueError):
         PointConfiguration(1, ((1, 1), (2, 2)))
     with pytest.raises(ValueError):
-        singularity_matrix(0, p1_pair())
+        symbolic_square_basis(0, p1_pair())
 
 
 def test_kernel_is_order_two_vanishing():
@@ -170,6 +174,14 @@ def test_codimension_matches_alexander_hirschowitz():
         else:
             assert value == generic, (n, d, N)
     assert SPORADIC <= exceptions
+
+
+def test_symbolic_square_basis_is_the_kernel_of_the_streamed_columns():
+    for n, d, N, cfg in alexander_hirschowitz_cases():
+        basis = symbolic_square_basis(d, cfg)
+        assert len(basis) == comb(d + n, n) - codimension(d, cfg), (n, d, N)
+        for row in condition_rows(d, cfg):
+            assert not any(sum(map(mul, row, v)) for v in basis), (n, d, N)
 
 
 # --- the streamed certificate ----------------------------------------------------
@@ -350,7 +362,7 @@ def test_oversize_matrices_are_refused_before_enumeration(monkeypatch):
     monkeypatch.setattr(conditions, "enumerate_monomials", refuse)
     cfg = random_configuration(6, 2, random.Random(0))
     with pytest.raises(ValueError, match="too large"):
-        singularity_matrix(60, cfg)
+        symbolic_square_basis(60, cfg)
     with pytest.raises(ValueError, match="too large"):
         conditions.evaluation_matrix(60, cfg)
 

@@ -1,7 +1,6 @@
 """First-page assembly, Alexander duality, stable match, bands, weights."""
 
 import io
-import warnings
 from contextlib import redirect_stderr
 
 import pytest
@@ -19,12 +18,11 @@ from stablecoh.e1 import (
     verify_stable_match,
 )
 from stablecoh.params import ParameterTriple, coefficient_space_dim
+from stablecoh.tables import GradedTateVector, grassmannian_poincare, twisted_config_bm
 
 
-def quiet_page(d, n, N):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return assemble_e1(ParameterTriple(d, n, N))
+def page_of(d, n, N):
+    return assemble_e1(ParameterTriple(d, n, N))
 
 
 # --- strata -------------------------------------------------------------------
@@ -70,6 +68,24 @@ def test_stratum_column_out_of_range():
         stratum_bm(9, 2, 4)
 
 
+def test_configuration_and_stratum_tables_are_shifted_grassmannians():
+    def shifted(table, degree, tate):
+        return GradedTateVector(
+            {deg + degree: ((dim, t + tate),) for deg, dim, t in table.iter_components()}
+        )
+
+    for n in range(7):
+        for l in range(1, n + 2):
+            config = twisted_config_bm(l, n)
+            assert config == shifted(grassmannian_poincare(l, n), l * (l - 1), l * (l - 1) // 2)
+            for d in (3, 8):
+                # Configuration degree j lands in 2c - 2ln - l - 1 + j, with Tate
+                # index j/2 + c - l(n+1), where j/2 is the configuration's index.
+                c = coefficient_space_dim(d, n)
+                expected = shifted(config, 2 * c - 2 * l * n - l - 1, c - l * (n + 1))
+                assert stratum_bm(d, n, l).bm_table == expected, (d, n, l)
+
+
 # --- page assembly ---------------------------------------------------------------
 
 
@@ -84,16 +100,16 @@ def test_assemble_binary_degree_nineteen():
     assert page.guaranteed
 
 
-def test_assemble_warns_outside_regime():
-    with pytest.warns(UserWarning, match="outside guaranteed regime"):
-        page = assemble_e1(ParameterTriple(5, 2, 3))
+def test_assemble_notes_outside_regime():
+    page = assemble_e1(ParameterTriple(5, 2, 3))
     assert not page.guaranteed
+    assert page.regime_notes == ("N = 3 does not exceed n+1 = 3",)
     assert page.columns[3].bm_table.degrees() == (32,)
 
 
 def test_assemble_column_count():
     for d, n, N in [(19, 1, 10), (23, 2, 12), (11, 3, 6)]:
-        page = quiet_page(d, n, N)
+        page = page_of(d, n, N)
         assert len(page.columns) == n + 1
         assert all(page.columns[l].bm_table for l in page.columns)
 
@@ -110,7 +126,7 @@ def test_dual_degrees_binary():
 
 def test_dual_top_class():
     for d, n in [(5, 2), (9, 2), (11, 3)]:
-        page = quiet_page(d, n, (d + 1) // 2)
+        page = page_of(d, n, (d + 1) // 2)
         dual = alexander_dual(page)
         top = (n + 1) ** 2
         assert dual.components(top) == ((1, -(n + 1) * (n + 2) // 2),)
@@ -131,7 +147,7 @@ def test_dual_of_empty_page_is_empty():
 
 def test_degree_sum_and_weight_law():
     for d, n, N in [(19, 1, 10), (13, 2, 7), (11, 3, 6)]:
-        page = quiet_page(d, n, N)
+        page = page_of(d, n, N)
         c = page.coefficient_dim
         for cls in dual_classes(page):
             assert cls.dual_degree + 1 + cls.bm_degree == 2 * c
@@ -140,7 +156,7 @@ def test_degree_sum_and_weight_law():
 
 def test_dual_multiset_is_degree_independent():
     for n, N in [(1, 4), (2, 5)]:
-        duals = [alexander_dual(quiet_page(d, n, N)) for d in (2 * N - 1, 2 * N + 1, 2 * N + 4)]
+        duals = [alexander_dual(page_of(d, n, N)) for d in (2 * N - 1, 2 * N + 1, 2 * N + 4)]
         tables = [{deg: dual.dimension(deg) for deg in dual.degrees()} for dual in duals]
         assert tables[0] == tables[1] == tables[2]
 
@@ -231,7 +247,7 @@ def test_band_binary_degree_eleven():
     assert report.bm_window == (18, 18)
     assert report.verified
     # dual degree 5 is the single banned degree and carries no classes
-    dual = alexander_dual(quiet_page(11, 1, 6))
+    dual = alexander_dual(page_of(11, 1, 6))
     assert dual.dimension(5) == 0
 
 

@@ -75,7 +75,7 @@ USAGE_ERRORS = {
     "gl-cohomology-too-large": ["gl-cohomology", "--n", "100"],
     # 50,177 Gaussian-binomial coefficients: refused before any is computed.
     "grassmann-too-large": ["grassmann", "--l", "224", "--n", "447"],
-    # The report is computed, but it cannot be written.
+    # Refused before the report is computed.
     "output-unwritable": ["grassmann", "--l", "2", "--n", "3",
                           "--output", "/nonexistent/dir/r.json"],
 }

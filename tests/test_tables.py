@@ -10,7 +10,6 @@ from stablecoh.tables import (
     gaussian_binomial,
     gl_cohomology,
     grassmannian_poincare,
-    half_tate,
     twisted_config_bm,
 )
 
@@ -69,12 +68,6 @@ def test_gaussian_matches_q_pascal_recurrence():
 
 
 # --- graded Tate tables -----------------------------------------------------------
-
-
-def test_half_tate_rejects_odd_degrees():
-    assert half_tate(-4) == -2
-    with pytest.raises(ValueError, match="non-integral"):
-        half_tate(7)
 
 
 def test_graded_tate_merges_components():
