@@ -15,6 +15,10 @@ from stablecoh import (
 )
 
 
+def total_dimension(table):
+    return sum(dim for _, dim, _ in table.iter_components())
+
+
 def render(table):
     return ", ".join(
         f"H_{deg} = Q({tate})^{dim}" if dim > 1 else f"H_{deg} = Q({tate})"
@@ -42,15 +46,16 @@ for l in range(1, 4):
     table = twisted_config_bm(l, 2)
     print(f"  {l} points: {render(table)}")
     print(f"    (shift l(l-1) = {l * (l - 1)}, total dim preserved ="
-          f" {table.total_dimension()})")
+          f" {total_dimension(table)})")
 
 print()
 print("Cohomology of the general linear group")
 for n in range(0, 4):
-    gens, table = gl_cohomology(n)
-    gen_str = ", ".join(f"degree {g.degree} type {g.hodge_type}" for g in gens)
+    # One generator per k = 0..n, of degree 2k+1 and Hodge type (k+1, k+1).
+    gen_str = ", ".join(f"degree {2 * k + 1} type {(k + 1, k + 1)}" for k in range(n + 1))
+    table = gl_cohomology(n)
     print(f"  GL_{n + 1}(C): generators {gen_str}")
     print(f"    table: {render(table)}")
 print()
 print("Each table at t=1 doubles with every generator: totals",
-      [gl_cohomology(n)[1].total_dimension() for n in range(0, 5)])
+      [total_dimension(gl_cohomology(n)) for n in range(0, 5)])

@@ -18,12 +18,12 @@ print(f"parameters d={params.d}, n={params.n}, N={params.N}")
 print(f"coefficient-space dimension c = {page.coefficient_dim}")
 print()
 print("columns (number of prescribed singular points -> BM degrees):")
-for l, support in sorted(page.columns.items()):
-    degs = ", ".join(
-        f"{deg} (dim {dim}, Q({tate}))"
-        for deg, dim, tate in support.bm_table.iter_components()
-    )
-    print(f"  l={l}: {degs}   predicted window {support.degree_range}")
+c, n = page.coefficient_dim, params.n
+for l, table in sorted(page.columns.items()):
+    degs = ", ".join(f"{deg} (dim {dim}, Q({tate}))" for deg, dim, tate in table.iter_components())
+    # Column l is supported from 2c - l(2n+2-l) - 1 up to 2c - l^2 - 1.
+    window = (2 * c - l * (2 * n + 2 - l) - 1, 2 * c - l * l - 1)
+    print(f"  l={l}: {degs}   predicted window {window}")
 print(f"column N={params.N} vanishes from BM degree {page.fn_threshold} upward")
 print()
 
@@ -50,4 +50,4 @@ for n in range(0, 4):
 print()
 
 dual = alexander_dual(page)
-print("dual table:", {deg: dual.components(deg) for deg in dual.degrees()})
+print("dual table:", dict(dual))

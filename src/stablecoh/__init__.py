@@ -78,4 +78,5 @@ __all__ = [
     "twisted_config_bm",
     "vanishing_band",
     "verify_codim_lemma",
+    "verify_stable_match",
 ]

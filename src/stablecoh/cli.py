@@ -170,13 +170,16 @@ def _failed(params: dict, payload: dict) -> Report:
 
 def _pure(table) -> dict:
     """A pure table's {degree: (dim, tate)} JSON form; a mixed degree raises."""
-    return {deg: table.single(deg) for deg in table.degrees()}
+    for deg, comps in table.items():
+        if len(comps) != 1:
+            raise ValueError(f"degree {deg} has {len(comps)} components, expected 1")
+    return {deg: comps[0] for deg, comps in table.items()}
 
 
 def _table_report(params: dict, payload: dict, table, *, total_line: bool = False) -> Report:
     """Report of one graded table: a degree/dim/tate row and line per component."""
     rows = list(table.iter_components())
-    total = table.total_dimension()
+    total = sum(dim for _, dim, _ in rows)
     lines = [f"degree {deg}: dim {dim}, tate {tate}" for deg, dim, tate in rows]
     if total_line:
         lines.append(f"total dimension: {total}")
@@ -318,14 +321,13 @@ def cmd_config_homology(args, seed):
 
 def cmd_gl_cohomology(args, seed):
     check_e1_dimension(args.n)
-    generators, table = gl_cohomology(args.n)
+    table = gl_cohomology(args.n)
     payload = {
         "n": args.n,
         "generators": [
-            {"index": g.index, "degree": g.degree, "hodge": list(g.hodge_type)}
-            for g in generators
+            {"index": k, "degree": 2 * k + 1, "hodge": [k + 1, k + 1]} for k in range(args.n + 1)
         ],
-        "table": table.entries,
+        "table": table,
     }
     return _table_report({"n": args.n}, payload, table)
 
@@ -336,12 +338,12 @@ def cmd_e1_page(args, seed):
     payload = {
         "params": params,
         "c": page.coefficient_dim,
-        "columns": {l: _pure(support.bm_table) for l, support in page.columns.items()},
+        "columns": {l: _pure(table) for l, table in page.columns.items()},
         "fN_threshold": page.fn_threshold,
         "phi_bounds": dict(enumerate(page.phi_dim_bounds)),
         "guaranteed": page.guaranteed,
         "regime_notes": page.regime_notes,
-        "dual": alexander_dual(page).entries,
+        "dual": alexander_dual(page),
     }
     csv_rows = [("l", "bm_degree", "dual_degree", "dim", "weight")] + [
         (cls.column, cls.bm_degree, cls.dual_degree, cls.dim, cls.weight)

@@ -109,7 +109,9 @@ def symbolic_square_dim(d: int, config: PointConfiguration) -> int:
 
 def symbolic_square_basis(d: int, config: PointConfiguration) -> tuple[tuple[int, ...], ...]:
     """Primitive integer basis of the order-two vanishing forms in degree d."""
-    cols = _singularity_shape(d, config)[1]
+    rows, cols = _singularity_shape(d, config)
+    if rows >= cols and codimension(d, config) == cols:  # certified full rank: no kernel
+        return ()
     return kernel_basis(list(zip(*_singularity_columns(d, config))), cols)
 
 

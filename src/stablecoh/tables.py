@@ -13,7 +13,7 @@ Conventions, fixed here once and reused everywhere downstream:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 TateComponent = tuple[int, int]  # (dimension, tate index)
 
@@ -25,24 +25,19 @@ TateComponent = tuple[int, int]  # (dimension, tate index)
 MAX_TABLE_COEFFICIENTS = 50_000
 
 
-class GradedTateVector:
-    """Finitely supported table: degree -> Tate-twisted summands.
+class GradedTateVector(dict):
+    """Finitely supported table: a dict from degree to Tate-twisted summands.
 
-    Most tables here are pure, with a single (dimension, Tate index) pair
-    per degree. Exterior-algebra products and Alexander-dual totals can mix
-    weights within one degree, so a degree maps to a tuple of components
-    sorted by Tate index.
+    Degrees are keys in increasing order; each maps to a tuple of (dimension,
+    Tate index) components sorted by Tate index. Most tables here are pure,
+    with one component per degree; exterior-algebra products and
+    Alexander-dual totals can mix weights within one degree.
     """
 
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: dict[int, tuple[TateComponent, ...]]):
-        self._entries = {deg: entries[deg] for deg in sorted(entries)}
+    __slots__ = ()
 
     @classmethod
-    def from_components(
-        cls, components: Iterable[tuple[int, int, int]]
-    ) -> "GradedTateVector":
+    def from_components(cls, components: Iterable[tuple[int, int, int]]) -> GradedTateVector:
         """Build from (degree, dimension, tate) triples, merging equal twists."""
         acc: dict[tuple[int, int], int] = {}
         for degree, dim, tate in components:
@@ -55,49 +50,20 @@ class GradedTateVector:
             key = (degree, int(tate))
             acc[key] = acc.get(key, 0) + dim
         entries: dict[int, list[TateComponent]] = {}
-        for (degree, twist), dim in sorted(acc.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+        for (degree, twist), dim in sorted(acc.items()):
             entries.setdefault(degree, []).append((dim, twist))
-        return cls({deg: tuple(comps) for deg, comps in entries.items()})
-
-    @property
-    def entries(self) -> dict[int, tuple[TateComponent, ...]]:
-        return dict(self._entries)
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(self._entries)
+        return cls((deg, tuple(comps)) for deg, comps in entries.items())
 
     def components(self, degree: int) -> tuple[TateComponent, ...]:
-        return self._entries.get(degree, ())
-
-    def single(self, degree: int) -> TateComponent:
-        comps = self.components(degree)
-        if len(comps) != 1:
-            raise ValueError(f"degree {degree} has {len(comps)} components, expected 1")
-        return comps[0]
+        return self.get(degree, ())
 
     def dimension(self, degree: int) -> int:
         return sum(dim for dim, _ in self.components(degree))
 
-    def total_dimension(self) -> int:
-        return sum(dim for comps in self._entries.values() for dim, _ in comps)
-
     def iter_components(self) -> Iterator[tuple[int, int, int]]:
-        for degree, comps in self._entries.items():
+        for degree, comps in self.items():
             for dim, tate in comps:
                 yield degree, dim, tate
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GradedTateVector) and self._entries == other._entries
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{deg}: {list(comps) if len(comps) > 1 else comps[0]}"
-            for deg, comps in self._entries.items()
-        )
-        return f"GradedTateVector({{{inner}}})"
 
 
 @lru_cache(maxsize=None)
@@ -165,22 +131,8 @@ def twisted_config_bm(l: int, n: int) -> GradedTateVector:
     return shifted_grassmannian(l, n, l * (l - 1), l * (l - 1) // 2)
 
 
-class GlGenerator(NamedTuple):
-    """An odd-degree exterior generator of the cohomology of GL_{n+1}(C)."""
-
-    index: int  # k = 0..n
-
-    @property
-    def degree(self) -> int:
-        return 2 * self.index + 1
-
-    @property
-    def hodge_type(self) -> tuple[int, int]:
-        return (self.index + 1, self.index + 1)
-
-
-def gl_cohomology(n: int) -> tuple[tuple[GlGenerator, ...], GradedTateVector]:
-    """Generators and full additive table of the cohomology of GL_{n+1}(C).
+def gl_cohomology(n: int) -> GradedTateVector:
+    """Additive table of the cohomology of GL_{n+1}(C).
 
     An exterior algebra on n+1 generators of degree 2k+1 and Hodge type
     (k+1, k+1), k = 0..n. The table expands the product of
@@ -190,7 +142,6 @@ def gl_cohomology(n: int) -> tuple[tuple[GlGenerator, ...], GradedTateVector]:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    generators = tuple(GlGenerator(k) for k in range(n + 1))
     # (degree, tate) -> coefficient of t^degree u^tate.
     product = {(0, 0): 1}
     for k in range(n + 1):
@@ -200,6 +151,6 @@ def gl_cohomology(n: int) -> tuple[tuple[GlGenerator, ...], GradedTateVector]:
     components = [(degree, dim, tate) for (degree, tate), dim in product.items()]
     table = GradedTateVector.from_components(components)
     top = (n + 1) ** 2
-    if table.degrees()[-1] != top or table.dimension(top) != 1:
+    if max(table) != top or table.dimension(top) != 1:
         raise RuntimeError(f"GL_{n + 1} table must end in one class of degree {top}")
-    return generators, table
+    return table

@@ -13,6 +13,7 @@ import pytest
 
 from stablecoh import cli
 from stablecoh.cli import COMMANDS, SEED_ENV_VAR, build_parser, main
+from stablecoh.tables import GradedTateVector, gl_cohomology
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -225,6 +226,14 @@ def test_gl_cohomology_csv(capsys):
     assert [tuple(line.split(",")[:2]) for line in lines[1:]] == [
         ("0", "1"), ("1", "1"), ("3", "1"), ("4", "1")
     ]
+
+
+def test_pure_table_refuses_a_mixed_degree():
+    # grassmann, config-homology and the e1-page columns write one (dim, tate) per degree.
+    table = GradedTateVector.from_components([(2, 1, 1), (0, 1, 0)])
+    assert cli._pure(table) == {0: (1, 0), 2: (1, 1)}
+    with pytest.raises(ValueError, match="degree 9 has 2 components, expected 1"):
+        cli._pure(gl_cohomology(4))
 
 
 def test_grassmann_of_large_space_has_no_recursion_limit(capsys):

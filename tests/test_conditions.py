@@ -184,6 +184,18 @@ def test_symbolic_square_basis_is_the_kernel_of_the_streamed_columns():
             assert not any(sum(map(mul, row, v)) for v in basis), (n, d, N)
 
 
+def test_full_rank_square_basis_skips_the_elimination(monkeypatch):
+    # (4, 5, 26) is 130 x 126 of full column rank: the certified codimension
+    # proves the kernel empty, so no elimination runs.
+    cfg = next(c for n, d, N, c in alexander_hirschowitz_cases() if (n, d, N) == (4, 5, 26))
+
+    def no_kernel(*args):
+        raise AssertionError("kernel_basis ran for a provably empty kernel")
+
+    monkeypatch.setattr(conditions, "kernel_basis", no_kernel)
+    assert symbolic_square_basis(5, cfg) == ()
+
+
 # --- the streamed certificate ----------------------------------------------------
 
 

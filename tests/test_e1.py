@@ -8,6 +8,7 @@ import pytest
 from stablecoh import cli, e1
 from stablecoh.e1 import (
     MAX_E1_DIMENSION,
+    MAX_E1_POINTS,
     E1Page,
     alexander_dual,
     assemble_e1,
@@ -18,11 +19,17 @@ from stablecoh.e1 import (
     verify_stable_match,
 )
 from stablecoh.params import ParameterTriple, coefficient_space_dim
-from stablecoh.tables import GradedTateVector, grassmannian_poincare, twisted_config_bm
+from stablecoh.tables import grassmannian_poincare, twisted_config_bm
 
 
 def page_of(d, n, N):
     return assemble_e1(ParameterTriple(d, n, N))
+
+
+def window(d, n, l):
+    """Predicted BM support of column l: 2c - l(2n+2-l) - 1 to 2c - l^2 - 1."""
+    c = coefficient_space_dim(d, n)
+    return 2 * c - l * (2 * n + 2 - l) - 1, 2 * c - l * l - 1
 
 
 # --- strata -------------------------------------------------------------------
@@ -31,32 +38,30 @@ def page_of(d, n, N):
 def test_stratum_line_column_one():
     c = coefficient_space_dim(19, 1)
     s = stratum_bm(19, 1, 1)
-    assert s.bm_table.degrees() == (2 * c - 4, 2 * c - 2)
-    assert s.degree_range == (2 * c - 4, 2 * c - 2)
+    assert tuple(s) == (2 * c - 4, 2 * c - 2)
+    assert window(19, 1, 1) == (2 * c - 4, 2 * c - 2)
 
 
 def test_stratum_line_column_two():
     c = coefficient_space_dim(19, 1)
     s = stratum_bm(19, 1, 2)
-    assert s.bm_table.degrees() == (2 * c - 5,)
-    assert s.degree_range == (2 * c - 5, 2 * c - 5)
+    assert tuple(s) == (2 * c - 5,)
+    assert window(19, 1, 2) == (2 * c - 5, 2 * c - 5)
     # minimal possible degree over all columns is 2c - (n+1)^2 - 1
-    assert s.bm_table.degrees()[0] == 2 * c - 4 - 1
+    assert min(s) == 2 * c - 4 - 1
 
 
 def test_stratum_plane_top_column():
     c = coefficient_space_dim(5, 2)
     s = stratum_bm(5, 2, 3)
-    assert s.bm_table.entries == {2 * c - 10: ((1, c - 6),)}
+    assert s == {2 * c - 10: ((1, c - 6),)}
 
 
 def test_stratum_range_endpoints_attained():
     for d, n in [(9, 1), (9, 2), (11, 3)]:
         for l in range(1, n + 2):
-            s = stratum_bm(d, n, l)
-            degrees = s.bm_table.degrees()
-            assert degrees[0] == s.degree_range[0]
-            assert degrees[-1] == s.degree_range[1]
+            degrees = tuple(stratum_bm(d, n, l))
+            assert (degrees[0], degrees[-1]) == window(d, n, l)
             parity = degrees[0] % 2
             assert all(deg % 2 == parity for deg in degrees)
 
@@ -70,20 +75,19 @@ def test_stratum_column_out_of_range():
 
 def test_configuration_and_stratum_tables_are_shifted_grassmannians():
     def shifted(table, degree, tate):
-        return GradedTateVector(
-            {deg + degree: ((dim, t + tate),) for deg, dim, t in table.iter_components()}
-        )
+        return [(deg + degree, ((dim, t + tate),)) for deg, dim, t in table.iter_components()]
 
     for n in range(7):
         for l in range(1, n + 2):
             config = twisted_config_bm(l, n)
-            assert config == shifted(grassmannian_poincare(l, n), l * (l - 1), l * (l - 1) // 2)
+            expected = shifted(grassmannian_poincare(l, n), l * (l - 1), l * (l - 1) // 2)
+            assert list(config.items()) == expected
             for d in (3, 8):
                 # Configuration degree j lands in 2c - 2ln - l - 1 + j, with Tate
                 # index j/2 + c - l(n+1), where j/2 is the configuration's index.
                 c = coefficient_space_dim(d, n)
                 expected = shifted(config, 2 * c - 2 * l * n - l - 1, c - l * (n + 1))
-                assert stratum_bm(d, n, l).bm_table == expected, (d, n, l)
+                assert list(stratum_bm(d, n, l).items()) == expected, (d, n, l)
 
 
 # --- page assembly ---------------------------------------------------------------
@@ -93,8 +97,8 @@ def test_assemble_binary_degree_nineteen():
     page = assemble_e1(ParameterTriple(19, 1, 10))
     assert page.coefficient_dim == 20
     assert sorted(page.columns) == [1, 2]
-    assert page.columns[1].bm_table.degrees() == (36, 38)
-    assert page.columns[2].bm_table.degrees() == (35,)
+    assert tuple(page.columns[1]) == (36, 38)
+    assert tuple(page.columns[2]) == (35,)
     assert page.fn_threshold == 30
     assert page.phi_dim_bounds == tuple(20 + l for l in range(10))
     assert page.guaranteed
@@ -104,14 +108,14 @@ def test_assemble_notes_outside_regime():
     page = assemble_e1(ParameterTriple(5, 2, 3))
     assert not page.guaranteed
     assert page.regime_notes == ("N = 3 does not exceed n+1 = 3",)
-    assert page.columns[3].bm_table.degrees() == (32,)
+    assert tuple(page.columns[3]) == (32,)
 
 
 def test_assemble_column_count():
     for d, n, N in [(19, 1, 10), (23, 2, 12), (11, 3, 6)]:
         page = page_of(d, n, N)
         assert len(page.columns) == n + 1
-        assert all(page.columns[l].bm_table for l in page.columns)
+        assert all(page.columns.values())
 
 
 # --- duality ----------------------------------------------------------------------
@@ -120,7 +124,7 @@ def test_assemble_column_count():
 def test_dual_degrees_binary():
     page = assemble_e1(ParameterTriple(19, 1, 10))
     dual = alexander_dual(page)
-    assert dual.degrees() == (1, 3, 4)
+    assert tuple(dual) == (1, 3, 4)
     assert all(dual.dimension(k) == 1 for k in (1, 3, 4))
 
 
@@ -157,7 +161,7 @@ def test_degree_sum_and_weight_law():
 def test_dual_multiset_is_degree_independent():
     for n, N in [(1, 4), (2, 5)]:
         duals = [alexander_dual(page_of(d, n, N)) for d in (2 * N - 1, 2 * N + 1, 2 * N + 4)]
-        tables = [{deg: dual.dimension(deg) for deg in dual.degrees()} for dual in duals]
+        tables = [{deg: dual.dimension(deg) for deg in dual} for dual in duals]
         assert tables[0] == tables[1] == tables[2]
 
 
@@ -195,6 +199,20 @@ def test_large_dimension_is_refused_before_any_table(monkeypatch):
     message = f"problem too large: n = {MAX_E1_DIMENSION + 1} exceeds {MAX_E1_DIMENSION}"
     for call in (lambda: assemble_e1(large), lambda: vanishing_band(large),
                  lambda: verify_stable_match(MAX_E1_DIMENSION + 1)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_large_point_count_is_refused_before_any_column(monkeypatch):
+    assert len(page_of(3, 1, MAX_E1_POINTS).phi_dim_bounds) == MAX_E1_POINTS
+
+    def no_table(*args):
+        raise AssertionError("a column was built for an oversize point count")
+
+    monkeypatch.setattr(e1, "stratum_bm", no_table)
+    large = ParameterTriple(3, 1, MAX_E1_POINTS + 1)
+    message = f"problem too large: N = {MAX_E1_POINTS + 1} exceeds {MAX_E1_POINTS}"
+    for call in (lambda: assemble_e1(large), lambda: vanishing_band(large)):
         with pytest.raises(ValueError, match=message):
             call()
 

@@ -71,6 +71,8 @@ USAGE_ERRORS = {
     "too-large": ["codim", "--d", "60", "--n", "6", "--N", "2"],
     # n above e1.MAX_E1_DIMENSION: refused before any column is built.
     "band-too-large": ["band", "--d", "5", "--n", "1100", "--N", "3"],
+    # N above e1.MAX_E1_POINTS: refused before the N substratum bounds are built.
+    "e1-page-too-large": ["e1-page", "--d", "3", "--n", "1", "--N", "100001"],
     # The same limit for the general-linear table, which grows as n^4.
     "gl-cohomology-too-large": ["gl-cohomology", "--n", "100"],
     # 50,177 Gaussian-binomial coefficients: refused before any is computed.

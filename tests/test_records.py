@@ -1,11 +1,14 @@
-"""Result records: construction checks, pickling across the pool, equality."""
+"""Result records: construction checks, pickling across the pool, equality; exports."""
 
+import ast
 import pickle
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import stablecoh
 from stablecoh import conditions
 from stablecoh.conditions import CodimLemmaReport, CollinearProbe, verify_codim_lemma
 from stablecoh.linalg import ExactMatrix
@@ -102,3 +105,15 @@ def test_two_worker_pool_matches_one_job(monkeypatch):
     assert sizes == []
     assert verify_codim_lemma(params, trials=6, seed=11, jobs=2) == serial
     assert sizes == [2]
+
+
+def test_package_exports_every_public_name_it_imports():
+    tree = ast.parse(Path(stablecoh.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert len(set(stablecoh.__all__)) == len(stablecoh.__all__)
+    assert set(stablecoh.__all__) - {"__version__"} == imported
+    assert all(hasattr(stablecoh, name) for name in stablecoh.__all__)
