@@ -8,6 +8,7 @@ for points on a line. The script shows both halves at desk scale.
 """
 
 import random
+from math import prod
 
 from stablecoh import (
     ParameterTriple,
@@ -17,7 +18,7 @@ from stablecoh import (
     random_configuration,
     verify_codim_lemma,
 )
-from stablecoh.conditions import symbolic_square_basis
+from stablecoh.linalg import kernel_basis
 from stablecoh.monomials import enumerate_monomials
 
 
@@ -25,6 +26,15 @@ def monomial_text(exponents):
     """Render an exponent tuple as x0^a*x1^b*..., omitting zero exponents."""
     parts = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exponents) if e]
     return "*".join(parts) or "1"
+
+
+def partial_at(exponents, i, point):
+    """Value of d/dx_i of the monomial x^exponents at an integer point."""
+    k = exponents[i]
+    if k == 0:
+        return 0
+    lowered = exponents[:i] + (k - 1,) + exponents[i + 1:]
+    return k * prod(c**e for c, e in zip(point, lowered))
 
 
 def show(title):
@@ -37,8 +47,10 @@ show("Three coordinate points in the plane, cubics (d=3, n=2, N=3)")
 cfg = coordinate_configuration(2, 3)
 print("points:", cfg.points)
 print("conditions imposed:", codimension(3, cfg), "out of an expected", 3 * 3)
-basis = symbolic_square_basis(3, cfg)
+# One condition row per (point, partial derivative), one column per monomial.
 mons = enumerate_monomials(3, 2)
+rows = [[partial_at(m, i, p) for m in mons] for p in cfg.integer_points for i in range(3)]
+basis = kernel_basis(rows, len(mons))
 for vec in basis:
     poly = " + ".join(monomial_text(m) for c, m in zip(vec, mons) if c)
     print("the one cubic singular at all three points:", poly)

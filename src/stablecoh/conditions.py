@@ -1,11 +1,11 @@
 """Singularity conditions at point configurations, in exact arithmetic.
 
 Requiring a degree-d form to be singular at a point imposes n+1 linear
-conditions (one per partial derivative). This module builds those condition
-matrices, computes their ranks and kernels, compares the two degreewise
-squares of a point ideal (products of ideal elements versus order-two
-vanishing), and packages the randomized verification of the codimension
-stabilization at degree 2N-1 together with the collinear sharpness probe.
+conditions (one per partial derivative). This module streams those
+condition columns into a certified rank, compares the two degreewise squares
+of a point ideal (products of ideal elements versus order-two vanishing),
+and packages the randomized verification of the codimension stabilization
+at degree 2N-1 together with the collinear sharpness probe.
 """
 
 from __future__ import annotations
@@ -62,16 +62,6 @@ def _monomial_values(point: tuple[int, ...], e: int, n: int) -> list[int]:
     return [prod(map(getitem, pows, exps)) for exps in enumerate_monomials(e, n)]
 
 
-def _singularity_shape(d: int, config: PointConfiguration) -> tuple[int, int]:
-    """Rows and columns of the singularity matrix, refused when too large."""
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
-    rows = config.count * (config.dimension + 1)
-    cols = coefficient_space_dim(d, config.dimension)
-    _check_size(rows, cols)
-    return rows, cols
-
-
 def _singularity_columns(d: int, config: PointConfiguration) -> Iterator[list[int]]:
     """Columns of the singularity conditions, each built when it is read.
 
@@ -98,8 +88,12 @@ def codimension(d: int, config: PointConfiguration) -> int:
     sides; only if the kernel check fails does Bareiss decide on the same
     kept columns.
     """
-    shape = _singularity_shape(d, config)
-    return certified_rank(_singularity_columns(d, config), shape)
+    if d < 1:
+        raise ValueError(f"degree must be >= 1, got {d}")
+    rows = config.count * (config.dimension + 1)
+    cols = coefficient_space_dim(d, config.dimension)
+    _check_size(rows, cols)
+    return certified_rank(_singularity_columns(d, config), (rows, cols))
 
 
 def symbolic_square_dim(d: int, config: PointConfiguration) -> int:
@@ -107,22 +101,13 @@ def symbolic_square_dim(d: int, config: PointConfiguration) -> int:
     return coefficient_space_dim(d, config.dimension) - codimension(d, config)
 
 
-def symbolic_square_basis(d: int, config: PointConfiguration) -> tuple[tuple[int, ...], ...]:
-    """Primitive integer basis of the order-two vanishing forms in degree d."""
-    rows, cols = _singularity_shape(d, config)
-    if rows >= cols and codimension(d, config) == cols:  # certified full rank: no kernel
-        return ()
-    return kernel_basis(list(zip(*_singularity_columns(d, config))), cols)
-
-
 def evaluation_matrix(e: int, config: PointConfiguration) -> ExactMatrix:
     """N x comb(e+n, n) matrix of monomial values at the points' normal forms."""
     n = config.dimension
     cols = coefficient_space_dim(e, n)
     _check_size(config.count, cols)
-    return ExactMatrix.from_rows(
-        (_monomial_values(point, e, n) for point in config.integer_points), cols
-    )
+    entries = tuple(tuple(_monomial_values(point, e, n)) for point in config.integer_points)
+    return ExactMatrix(config.count, cols, entries)
 
 
 def ideal_degree_part(e: int, config: PointConfiguration) -> tuple[tuple[int, ...], ...]:
@@ -326,7 +311,7 @@ def regularity_profile(config: PointConfiguration, d_max: int) -> RegularityScan
     values: dict[int, int] = {}
     d = d_max
     while d >= 1:
-        values[d] = hilbert_function(d, config, "symbolic")
+        values[d] = codimension(d, config)
         if values[d] != target:
             break
         d -= 1

@@ -273,7 +273,8 @@ def stable_range_report(d: int, n: int) -> StableRangeReport:
     check_e1_dimension(n)
     N = (d + 1) // 2
     max_stable = d // 2
-    gl_table = gl_cohomology(n)
+    # A generator of degree 2k+1 > d/2 adds no class in the band.
+    gl_table = gl_cohomology(min(n, (max_stable - 1) // 2))
     rows = []
     for k in range(0, max_stable + 1):
         comps = tuple(

@@ -180,16 +180,15 @@ def certified_rank(
 def integer_rank(rows: Sequence[Sequence[int]], upper: int | None = None) -> int:
     """Exact rank over the rationals of a built integer matrix; see certified_rank.
 
-    The longer side is streamed, so the echelon basis holds vectors of the
-    shorter length.
+    The rows are streamed as the columns of the transpose, which has the
+    same rank, so the echelon basis holds vectors of the row length. When
+    the rows are fewer than their length, a rank below the bound is proven
+    on the rows themselves, as for any stream of fewer vectors than their
+    length.
     """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    if n_rows == 0 or n_cols == 0:
+    if not rows or not rows[0]:
         return 0
-    if n_rows > n_cols:
-        return certified_rank(rows, (n_cols, n_rows), upper)
-    return certified_rank(zip(*rows), (n_rows, n_cols), upper)
+    return certified_rank(rows, (len(rows[0]), len(rows)), upper)
 
 
 def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:
@@ -226,26 +225,9 @@ def kernel_basis(rows: Sequence[Sequence[int]], n_cols: int) -> tuple[tuple[int,
     return tuple(basis)
 
 
-class _Matrix(NamedTuple):
+class ExactMatrix(NamedTuple):
+    """Dense matrix of arbitrary-precision integers."""
+
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
-
-
-class ExactMatrix(_Matrix):
-    """Dense matrix of arbitrary-precision integers."""
-
-    __slots__ = ()
-
-    def __new__(cls, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> ExactMatrix:
-        if len(entries) != rows:
-            raise ValueError(f"expected {rows} rows, got {len(entries)}")
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError(f"expected {cols} columns, got {len(row)}")
-        return super().__new__(cls, rows, cols, entries)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int) -> "ExactMatrix":
-        data = tuple(tuple(row) for row in rows)
-        return cls(len(data), cols, data)

@@ -48,10 +48,6 @@ class ParameterTriple(_Triple):
         return self.N * (self.n + 1)
 
     @property
-    def degree_bound(self) -> int:
-        """Smallest degree 2N-1 at which the conditions are always independent."""
-        return 2 * self.N - 1
-
-    @property
     def in_guaranteed_range(self) -> bool:
-        return self.d >= self.degree_bound
+        """Whether d >= 2N-1, where the conditions are always independent."""
+        return self.d >= 2 * self.N - 1

@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 from math import comb, prod
-from operator import mul
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,6 @@ from stablecoh.conditions import (
     ideal_degree_part,
     ordinary_square_dim,
     regularity_profile,
-    symbolic_square_basis,
     symbolic_square_dim,
     verify_codim_lemma,
 )
@@ -75,14 +73,7 @@ def test_matrix_rejects_degenerate_configs():
     with pytest.raises(ValueError):
         PointConfiguration(1, ((1, 1), (2, 2)))
     with pytest.raises(ValueError):
-        symbolic_square_basis(0, p1_pair())
-
-
-def test_kernel_is_order_two_vanishing():
-    basis = symbolic_square_basis(3, plane_coords())
-    assert len(basis) == 1
-    # the only cubic doubly vanishing at all three coordinate points is x0*x1*x2
-    assert basis[0] == (0, 0, 0, 0, 1, 0, 0, 0, 0, 0)
+        codimension(0, p1_pair())
 
 
 # --- codimension ---------------------------------------------------------------
@@ -174,26 +165,6 @@ def test_codimension_matches_alexander_hirschowitz():
         else:
             assert value == generic, (n, d, N)
     assert SPORADIC <= exceptions
-
-
-def test_symbolic_square_basis_is_the_kernel_of_the_streamed_columns():
-    for n, d, N, cfg in alexander_hirschowitz_cases():
-        basis = symbolic_square_basis(d, cfg)
-        assert len(basis) == comb(d + n, n) - codimension(d, cfg), (n, d, N)
-        for row in condition_rows(d, cfg):
-            assert not any(sum(map(mul, row, v)) for v in basis), (n, d, N)
-
-
-def test_full_rank_square_basis_skips_the_elimination(monkeypatch):
-    # (4, 5, 26) is 130 x 126 of full column rank: the certified codimension
-    # proves the kernel empty, so no elimination runs.
-    cfg = next(c for n, d, N, c in alexander_hirschowitz_cases() if (n, d, N) == (4, 5, 26))
-
-    def no_kernel(*args):
-        raise AssertionError("kernel_basis ran for a provably empty kernel")
-
-    monkeypatch.setattr(conditions, "kernel_basis", no_kernel)
-    assert symbolic_square_basis(5, cfg) == ()
 
 
 # --- the streamed certificate ----------------------------------------------------
@@ -374,7 +345,7 @@ def test_oversize_matrices_are_refused_before_enumeration(monkeypatch):
     monkeypatch.setattr(conditions, "enumerate_monomials", refuse)
     cfg = random_configuration(6, 2, random.Random(0))
     with pytest.raises(ValueError, match="too large"):
-        symbolic_square_basis(60, cfg)
+        codimension(60, cfg)
     with pytest.raises(ValueError, match="too large"):
         conditions.evaluation_matrix(60, cfg)
 

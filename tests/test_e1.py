@@ -19,7 +19,7 @@ from stablecoh.e1 import (
     verify_stable_match,
 )
 from stablecoh.params import ParameterTriple, coefficient_space_dim
-from stablecoh.tables import grassmannian_poincare, twisted_config_bm
+from stablecoh.tables import gl_cohomology, grassmannian_poincare, twisted_config_bm
 
 
 def page_of(d, n, N):
@@ -320,6 +320,24 @@ def test_stable_range_weight_annotations():
         for dim, tate, weight, factors in row.components:
             assert weight == -2 * tate
             assert factors == weight - row.degree
+
+
+def test_stable_range_rows_match_the_full_general_linear_table():
+    for n in range(1, 12):
+        full = gl_cohomology(n)
+        for d in range(3, 30):
+            expected = [(full.dimension(k), full.components(k)) for k in range(d // 2 + 1)]
+            rows = stable_range_report(d, n).rows
+            assert [(r.dim, tuple(c[:2] for c in r.components)) for r in rows] == expected
+
+
+def test_stable_range_builds_only_the_generators_in_its_band(monkeypatch):
+    calls = []
+    table = e1.gl_cohomology
+    monkeypatch.setattr(e1, "gl_cohomology", lambda n: calls.append(n) or table(n))
+    report = stable_range_report(5, 64)
+    assert calls == [0]
+    assert report.n == 64 and not report.band_covers_gl
 
 
 def test_stable_range_full_band_total():

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 from stablecoh import linalg
 from stablecoh.linalg import (
     PRIME,
-    ExactMatrix,
     bareiss_rank,
     certified_rank,
     integer_rank,
@@ -121,17 +120,23 @@ def test_kernel_of_full_rank_is_empty():
     assert kernel_basis([[1, 0], [0, 1]], 2) == ()
 
 
-def test_exact_matrix_validation():
-    with pytest.raises(ValueError):
-        ExactMatrix(2, 2, ((1, 2),))
-    with pytest.raises(ValueError):
-        ExactMatrix(1, 2, ((1, 2, 3),))
-
-
 def test_transpose_preserves_rank():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]]
     transposed = list(zip(*rows))
     assert integer_rank(rows) == integer_rank(transposed) == bareiss_rank(transposed) == 2
+
+
+def test_rank_deficient_wide_and_tall_matrices_are_certified(monkeypatch):
+    # integer_rank streams the rows: a wide matrix gives fewer vectors than
+    # their length, and the certificate transposes them for its proof.
+    def no_bareiss(rows):
+        raise AssertionError("Bareiss ran on a rank a certificate proves")
+
+    monkeypatch.setattr(linalg, "bareiss_rank", no_bareiss)
+    wide = [[1, 2, 0, 3, -1, 4], [0, 1, 5, 2, 2, -3], [1, 4, 10, 7, 3, -2]]
+    tall = [list(column) for column in zip(*wide)]
+    for rows in (wide, tall):
+        assert integer_rank(rows) == sympy_rank(rows) == 2
 
 
 def matrices(entries):

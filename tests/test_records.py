@@ -11,7 +11,6 @@ import pytest
 import stablecoh
 from stablecoh import conditions
 from stablecoh.conditions import CodimLemmaReport, CollinearProbe, verify_codim_lemma
-from stablecoh.linalg import ExactMatrix
 from stablecoh.params import ParameterTriple
 from stablecoh.points import PointConfiguration
 
@@ -68,18 +67,6 @@ def test_parameter_triple_still_validates(args, message):
 def test_point_configuration_still_validates(dimension, points, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         PointConfiguration(dimension, points)
-
-
-@pytest.mark.parametrize(
-    "shape, entries, message",
-    [
-        ((2, 2), ((1, 2),), "expected 2 rows, got 1"),
-        ((1, 2), ((1, 2, 3),), "expected 2 columns, got 3"),
-    ],
-)
-def test_exact_matrix_still_validates(shape, entries, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        ExactMatrix(*shape, entries)
 
 
 def test_records_are_immutable():
