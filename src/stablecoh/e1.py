@@ -25,9 +25,10 @@ from .tables import GradedTateVector, gaussian_binomial, gl_cohomology, shifted_
 # ValueError (exit 2 in the CLI) instead of running for minutes.
 MAX_E1_DIMENSION = 64
 
-# Largest point count N that band and e1-page accept; the page holds N bounds.
-# e1-page --d 3 --n 1 --format json takes 0.27 s and 43 MB at N = 100,000 and
-# 2.7 s and 298 MB at N = 1,000,000. Golden and benchmark cases have N <= 18.
+# Largest point count N that band, e1-page and stable-range (N = (d+1)//2)
+# accept. e1-page --d 3 --n 1 --format json takes 0.27 s and 43 MB at
+# N = 100,000 and 2.7 s and 298 MB at N = 1,000,000; stable-range takes 2.6 s
+# and 182 MB at d = 199,999, n = 64. Golden and benchmark cases have N <= 18.
 MAX_E1_POINTS = 100_000
 
 
@@ -272,6 +273,8 @@ def stable_range_report(d: int, n: int) -> StableRangeReport:
         raise ValueError(f"projective dimension must be >= 1, got {n}")
     check_e1_dimension(n)
     N = (d + 1) // 2
+    if N > MAX_E1_POINTS:
+        raise ValueError(f"problem too large: N = {N} exceeds {MAX_E1_POINTS}")
     max_stable = d // 2
     # A generator of degree 2k+1 > d/2 adds no class in the band.
     gl_table = gl_cohomology(min(n, (max_stable - 1) // 2))

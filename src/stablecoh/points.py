@@ -7,10 +7,11 @@ vector on the same line whose leftmost nonzero entry is positive. It is
 computed once per point, when the configuration is built, and it is also
 the key for detecting projective duplicates. Ranks and kernels of the
 condition matrices do not change when a point is rescaled, so no rational
-arithmetic happens past this module. Random sampling draws integer
-coordinates uniformly from [-100, 100] and resamples on projective
-coincidence, which is enough to hit the generic locus with overwhelming
-probability while keeping matrix entries small.
+arithmetic happens past this module. Random sampling draws coordinates
+uniformly from [-COORD_BOUND, COORD_BOUND] and skips the zero vector and
+projective repeats, which hits the generic locus with overwhelming
+probability while keeping matrix entries small. It gives up after
+MAX_ATTEMPTS draws, a zero draw counting as one.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ if TYPE_CHECKING:
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
 
-DEFAULT_COORD_BOUND = 100
-DEFAULT_MAX_ATTEMPTS = 1000
+COORD_BOUND = 100
+MAX_ATTEMPTS = 1000
 
 
 class SamplingError(RuntimeError):
@@ -130,38 +131,21 @@ def collinear_configuration(n: int, N: int) -> PointConfiguration:
     return PointConfiguration(n, points)
 
 
-def random_point(n: int, rng: random.Random, coord_bound: int = DEFAULT_COORD_BOUND) -> Point:
-    while True:
-        point = tuple(rng.randint(-coord_bound, coord_bound) for _ in range(n + 1))
+def random_configuration(n: int, N: int, rng: random.Random) -> PointConfiguration:
+    """Sample N projectively distinct random points; see the module docstring."""
+    drawn: dict[tuple[int, ...], Point] = {}  # normal form -> first draw, in draw order
+    for _ in range(MAX_ATTEMPTS):
+        if len(drawn) >= N:
+            break
+        point = tuple(rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(n + 1))
         if any(point):
-            return point
-
-
-def random_configuration(
-    n: int,
-    N: int,
-    rng: random.Random,
-    coord_bound: int = DEFAULT_COORD_BOUND,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> PointConfiguration:
-    """Sample N projectively distinct random points."""
-    points: list[Point] = []
-    keys: set[tuple[int, ...]] = set()
-    attempts = 0
-    while len(points) < N:
-        attempts += 1
-        if attempts > max_attempts:
-            raise SamplingError(
-                f"no distinct configuration of {N} points in dimension {n} "
-                f"after {max_attempts} attempts"
-            )
-        point = random_point(n, rng, coord_bound)
-        key = _normal_form(point)
-        if key in keys:
-            continue
-        keys.add(key)
-        points.append(point)
-    return PointConfiguration(n, tuple(points))
+            drawn.setdefault(_normal_form(point), point)
+    if len(drawn) < N:
+        raise SamplingError(
+            f"no distinct configuration of {N} points in dimension {n} "
+            f"after {MAX_ATTEMPTS} attempts"
+        )
+    return PointConfiguration(n, tuple(drawn.values()))
 
 
 def in_general_linear_position(config: PointConfiguration) -> bool:
@@ -177,20 +161,15 @@ def in_general_linear_position(config: PointConfiguration) -> bool:
     return True
 
 
-def random_general_position_configuration(
-    n: int,
-    N: int,
-    rng: random.Random,
-    coord_bound: int = DEFAULT_COORD_BOUND,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> PointConfiguration:
-    for _ in range(max_attempts):
-        config = random_configuration(n, N, rng, coord_bound, max_attempts)
+def random_general_position_configuration(n: int, N: int, rng: random.Random) -> PointConfiguration:
+    """Sample up to MAX_ATTEMPTS configurations until one is in general linear position."""
+    for _ in range(MAX_ATTEMPTS):
+        config = random_configuration(n, N, rng)
         if in_general_linear_position(config):
             return config
     raise SamplingError(
         f"no general-position configuration of {N} points in dimension {n} "
-        f"after {max_attempts} attempts"
+        f"after {MAX_ATTEMPTS} attempts"
     )
 
 

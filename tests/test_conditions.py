@@ -88,7 +88,7 @@ def test_codimension_examples():
 def test_codimension_agrees_with_sympy():
     rng = random.Random(2024)
     for n, N, d in [(1, 2, 3), (2, 2, 3), (2, 3, 4), (3, 2, 2)]:
-        cfg = random_configuration(n, N, rng, coord_bound=9)
+        cfg = random_configuration(n, N, rng)
         assert codimension(d, cfg) == sympy_codimension(d, list(cfg.points))
 
 
@@ -117,7 +117,7 @@ def test_single_point_codimension_is_n_plus_1():
     st.data(),
 )
 def test_codimension_invariant_under_scaling_and_permutation(n, N, d, seed, data):
-    cfg = random_configuration(n, N, random.Random(seed), coord_bound=10)
+    cfg = random_configuration(n, N, random.Random(seed))
     base = codimension(d, cfg)
     scales = data.draw(
         st.lists(
@@ -396,7 +396,7 @@ def test_ordinary_square_examples():
 def test_ordinary_square_never_exceeds_symbolic():
     rng = random.Random(17)
     for n, N in [(1, 2), (2, 2), (2, 3)]:
-        cfg = random_configuration(n, N, rng, coord_bound=20)
+        cfg = random_configuration(n, N, rng)
         for d in range(2, 2 * N + 2):
             assert ordinary_square_dim(d, cfg) <= symbolic_square_dim(d, cfg)
 
@@ -437,7 +437,7 @@ def test_hilbert_examples():
 def test_hilbert_modes_agree_past_twice_n():
     rng = random.Random(23)
     for n, N in [(1, 2), (2, 2), (2, 3)]:
-        cfg = random_configuration(n, N, rng, coord_bound=20)
+        cfg = random_configuration(n, N, rng)
         for d in range(2 * N, 2 * N + 3):
             assert hilbert_function(d, cfg, "symbolic") == hilbert_function(
                 d, cfg, "ordinary"

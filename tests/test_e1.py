@@ -217,6 +217,23 @@ def test_large_point_count_is_refused_before_any_column(monkeypatch):
             call()
 
 
+def test_stable_range_point_count_is_refused_before_any_row(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(e1, "gl_cohomology", reached)
+    # d = 2 * MAX_E1_POINTS takes N = MAX_E1_POINTS and passes the guard.
+    with pytest.raises(Reached):
+        stable_range_report(2 * MAX_E1_POINTS, 1)
+    message = f"problem too large: N = {MAX_E1_POINTS + 1} exceeds {MAX_E1_POINTS}"
+    for d in (2 * MAX_E1_POINTS + 1, 2 * MAX_E1_POINTS + 2):
+        with pytest.raises(ValueError, match=message):
+            stable_range_report(d, 1)
+
+
 def test_general_linear_table_is_refused_above_the_same_dimension(monkeypatch):
     assert stable_range_report(5, MAX_E1_DIMENSION).n == MAX_E1_DIMENSION
 

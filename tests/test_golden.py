@@ -75,6 +75,8 @@ USAGE_ERRORS = {
     "e1-page-too-large": ["e1-page", "--d", "3", "--n", "1", "--N", "100001"],
     # The same limit for the general-linear table, which grows as n^4.
     "gl-cohomology-too-large": ["gl-cohomology", "--n", "100"],
+    # N = (d+1)//2 above e1.MAX_E1_POINTS: refused before any stable-range row is built.
+    "stable-range-too-large": ["stable-range", "--d", "200001", "--n", "1"],
     # 50,177 Gaussian-binomial coefficients: refused before any is computed.
     "grassmann-too-large": ["grassmann", "--l", "224", "--n", "447"],
     # Refused before the report is computed.

@@ -87,6 +87,32 @@ def test_sampling_is_seed_deterministic():
     assert a != c
 
 
+@pytest.mark.parametrize("seed, n, N, points", [
+    (0, 1, 3, ((-2, 94), (7, -90), (-34, 30))),
+    (7, 2, 4, ((-18, -62, 1), (66, -88, -82), (37, -76, -7), (49, -86, 29))),
+    (2024, 3, 5, ((20, -54, 86, 48), (-23, -49, 85, 4), (93, 83, 94, -33),
+                  (36, -38, 62, 88), (27, -10, 6, 34))),
+    # The third draw, (-33, -42), is (-22, -28) rescaled and is skipped.
+    (60, 1, 8, ((-22, -28), (47, -61), (23, 19), (-15, -90), (-77, 70),
+                (-53, -61), (-1, -89), (-39, 63))),
+    # The first draw is the zero vector and is skipped.
+    (159, 0, 1, ((-57,),)),
+])
+def test_sampled_stream_is_pinned(seed, n, N, points):
+    assert random_configuration(n, N, random.Random(seed)).points == points
+
+
+@pytest.mark.parametrize("seed, n, N, points", [
+    (11, 2, 4, ((15, 43, 99), (19, 15, 30), (50, -52, -53), (31, 21, 61))),
+    (3, 3, 5, ((-40, 51, 39, -67), (-6, 54, 21, 60), (48, -84, 55, -97),
+               (20, -34, 41, -41), (-51, 83, 20, 38))),
+    # The first three draws are collinear; the sampler draws three more.
+    (64302, 2, 3, ((-78, -95, 47), (18, 16, -78), (21, 48, 34))),
+])
+def test_general_position_stream_is_pinned(seed, n, N, points):
+    assert random_general_position_configuration(n, N, random.Random(seed)).points == points
+
+
 def test_sampling_respects_bounds_and_distinctness():
     cfg = random_configuration(3, 6, random.Random(5))
     assert cfg.count == 6
@@ -95,9 +121,9 @@ def test_sampling_respects_bounds_and_distinctness():
 
 
 def test_sampling_failure_is_reported():
-    # one projective point exists over {0, 1} coordinates in P^0
-    with pytest.raises(SamplingError):
-        random_configuration(0, 2, random.Random(0), coord_bound=1, max_attempts=50)
+    # P^0 has one point, so no draw within the budget gives a second one
+    with pytest.raises(SamplingError, match="after 1000 attempts"):
+        random_configuration(0, 2, random.Random(0))
 
 
 def test_general_linear_position_check():
