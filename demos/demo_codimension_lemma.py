@@ -61,7 +61,7 @@ for n, N in [(1, 2), (2, 3), (3, 4)]:
     report = verify_codim_lemma(params, trials=20, seed=7)
     print(
         f"n={n} N={N} d={params.d}: codimensions {sorted(set(report.codimensions))},"
-        f" expected {report.expected}, verified={report.verified}"
+        f" expected {params.expected_codimension}, verified={report.verified}"
     )
 
 show("Sharpness: collinear points one degree too low (d = 2N-2)")

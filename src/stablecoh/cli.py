@@ -214,9 +214,10 @@ def cmd_verify_lemma(args, seed):
     params_t = ParameterTriple(args.d, args.n, args.N)
     report = verify_codim_lemma(params_t, args.trials, seed, jobs=args.jobs)
     probe = report.collinear
+    expected = params_t.expected_codimension
     payload = {
-        "expected_codimension": report.expected,
-        "in_guaranteed_range": report.in_guaranteed_range,
+        "expected_codimension": expected,
+        "in_guaranteed_range": params_t.in_guaranteed_range,
         "results": [{"trial": i, "codimension": v} for i, v in enumerate(report.codimensions)],
         "counterexamples": report.counterexamples,
         "collinear_probe": probe._asdict() if probe else None,
@@ -225,10 +226,10 @@ def cmd_verify_lemma(args, seed):
     }
     params = {"d": args.d, "n": args.n, "N": args.N, "trials": args.trials}
     csv_rows = [("trial", "codimension", "ok")] + [
-        (i, v, v == report.expected) for i, v in enumerate(report.codimensions)
+        (i, v, v == expected) for i, v in enumerate(report.codimensions)
     ]
     lines = [
-        f"expected codimension: {report.expected}",
+        f"expected codimension: {expected}",
         f"trials: {args.trials}, distinct codimensions seen: "
         + ",".join(str(v) for v in sorted(set(report.codimensions))),
         f"counterexamples: {len(report.counterexamples)}",
@@ -402,7 +403,7 @@ def cmd_band(args, seed):
 def cmd_stable_range(args, seed):
     report = stable_range_report(args.d, args.n)
     payload = {
-        "params": {"d": report.d, "n": report.n, "N": report.N},
+        "params": {"d": args.d, "n": args.n, "N": report.N},
         "max_stable_degree": report.max_stable_degree,
         "rows": [row._asdict() for row in report.rows],
         "band_covers_gl": report.band_covers_gl,

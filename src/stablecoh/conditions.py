@@ -128,6 +128,9 @@ def ordinary_square_dim(d: int, config: PointConfiguration) -> int:
     if d < 2:
         raise ValueError(f"degree must be >= 2, got {d}")
     n = config.dimension
+    # I^2 lies inside I^(2), so the rank is at most dim I^(2)_d. Taking that
+    # bound first puts codimension's size guard before any enumeration.
+    bound = symbolic_square_dim(d, config)
     index = monomial_index(d, n)
     n_cols = len(index)
     # Each basis form of degree e as its nonzero (exponent, coefficient) terms.
@@ -147,9 +150,7 @@ def ordinary_square_dim(d: int, config: PointConfiguration) -> int:
                     for eb, hb in h:
                         vec[index[tuple(map(add, ea, eb))]] += ga * hb
                 products[tuple(vec)] = None
-    # I^2 lies inside I^(2), so the rank is at most dim I^(2)_d = n_cols minus
-    # the codimension.
-    return integer_rank(list(products), n_cols - codimension(d, config))
+    return integer_rank(list(products), bound)
 
 
 def hilbert_function(d: int, config: PointConfiguration, mode: str = "symbolic") -> int:
@@ -217,12 +218,9 @@ class CollinearProbe(NamedTuple):
 class CodimLemmaReport(NamedTuple):
     """Outcome of the randomized codimension check plus the sharpness probe."""
 
-    params: ParameterTriple
-    expected: int
     codimensions: tuple[int, ...]
     counterexamples: tuple[dict, ...]
     collinear: CollinearProbe | None
-    in_guaranteed_range: bool
     verified: bool
 
 
@@ -280,12 +278,9 @@ def verify_codim_lemma(
         probe is None or (probe.below_generic and probe.within_line_bound)
     )
     return CodimLemmaReport(
-        params=params,
-        expected=expected,
         codimensions=codims,
         counterexamples=tuple(counterexamples),
         collinear=probe,
-        in_guaranteed_range=params.in_guaranteed_range,
         verified=verified,
     )
 

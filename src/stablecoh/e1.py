@@ -40,7 +40,6 @@ def check_e1_dimension(n: int) -> None:
 class E1Page(NamedTuple):
     """Assembled first page: columns 1..n+1 plus the column-N threshold data."""
 
-    params: ParameterTriple
     coefficient_dim: int
     columns: dict[int, GradedTateVector]  # column l -> its Borel-Moore table
     fn_threshold: int             # BM degree from which column N cannot contribute
@@ -89,7 +88,6 @@ def assemble_e1(params: ParameterTriple) -> E1Page:
         notes.append(f"N = {N} does not exceed n+1 = {n + 1}")
     columns = {l: stratum_bm(d, n, l) for l in range(1, n + 2)}
     return E1Page(
-        params=params,
         coefficient_dim=c,
         columns=columns,
         fn_threshold=2 * c - N,
@@ -198,7 +196,6 @@ def verify_stable_match(n: int) -> StableMatchReport:
 class BandReport(NamedTuple):
     """Vanishing check for the cohomological band between (n+1)^2 and N."""
 
-    params: ParameterTriple
     coefficient_dim: int
     band: tuple[int, int]        # open interval of cohomological degrees
     bm_window: tuple[int, int]   # closed interval of BM degrees that must be empty
@@ -224,7 +221,6 @@ def vanishing_band(params: ParameterTriple) -> BandReport:
     supports = page.supported_degrees()
     verified = not any(lo <= deg <= hi for deg in supports)
     return BandReport(
-        params=params,
         coefficient_dim=c,
         band=((n + 1) ** 2, N),
         bm_window=(lo, hi),
@@ -248,8 +244,6 @@ class PredictionRow(NamedTuple):
 class StableRangeReport(NamedTuple):
     """Predictions in the stable band k < (d+1)/2 for a fixed (d, n)."""
 
-    d: int
-    n: int
     N: int
     max_stable_degree: int
     rows: tuple[PredictionRow, ...]
@@ -292,8 +286,6 @@ def stable_range_report(d: int, n: int) -> StableRangeReport:
             )
         )
     return StableRangeReport(
-        d=d,
-        n=n,
         N=N,
         max_stable_degree=max_stable,
         rows=tuple(rows),

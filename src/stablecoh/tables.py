@@ -12,7 +12,6 @@ Conventions, fixed here once and reused everywhere downstream:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 TateComponent = tuple[int, int]  # (dimension, tate index)
@@ -66,7 +65,6 @@ class GradedTateVector(dict):
                 yield degree, dim, tate
 
 
-@lru_cache(maxsize=None)
 def gaussian_binomial(m: int, l: int) -> tuple[int, ...]:
     """Coefficient tuple of the Gaussian binomial [m, l]_q.
 

@@ -3,8 +3,9 @@
 Nothing here shares code with the library paths under test: subspaces are
 counted by explicit row-echelon enumeration over the two-element field,
 condition ranks are recomputed with sympy's own differentiation and rank,
-kernel bases come from sympy's nullspace, and rank certificates are checked
-with sympy determinants and products.
+kernel bases come from sympy's nullspace, rank certificates are checked
+with sympy determinants and products, and point counts over prime fields
+come from the group-order formula or from enumerating matrices and forms.
 """
 
 from __future__ import annotations
@@ -108,3 +109,75 @@ def sympy_certified_rank(rows: list[list[int]], pivot_rows, pivot_cols, kernel) 
     assert y.rows == a.rows - r and y.rank() == y.rows
     assert (y * a).is_zero_matrix
     return r
+
+
+def gl_order(m: int, q: int) -> int:
+    """|GL_m(F_q)|: the product over i < m of q^m - q^i (ordered bases)."""
+    order = 1
+    for i in range(m):
+        order *= q**m - q**i
+    return order
+
+
+def count_invertible_matrices(m: int, p: int) -> int:
+    """Count the m x m matrices over F_p of full rank, by enumeration.
+
+    Each matrix is reduced mod p by its own row elimination, written here.
+    """
+    count = 0
+    for entries in product(range(p), repeat=m * m):
+        rows = [list(entries[i * m:(i + 1) * m]) for i in range(m)]
+        rank = 0
+        for col in range(m):
+            pivot = next((r for r in range(rank, m) if rows[r][col]), None)
+            if pivot is None:
+                continue
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            inv = pow(rows[rank][col], p - 2, p)
+            for r in range(rank + 1, m):
+                factor = rows[r][col] * inv % p
+                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[rank])]
+            rank += 1
+        count += rank == m
+    return count
+
+
+def _poly_gcd_mod(f: list[int], g: list[int], p: int) -> list[int]:
+    """gcd over F_p of two coefficient lists (constant term first), trimmed."""
+
+    def trim(h):
+        while h and h[-1] == 0:
+            h.pop()
+        return h
+
+    f, g = trim(f[:]), trim(g[:])
+    while g:
+        inv = pow(g[-1], p - 2, p)
+        while len(f) >= len(g):
+            factor = f[-1] * inv % p
+            shift = len(f) - len(g)
+            for i, c in enumerate(g):
+                f[shift + i] = (f[shift + i] - factor * c) % p
+            trim(f)
+        f, g = g, f
+    return f
+
+
+def count_nonsingular_binary_forms(d: int, p: int) -> int:
+    """Count the degree-d binary forms over F_p with d distinct roots in P^1.
+
+    The form a_0 y^d + a_1 x y^(d-1) + ... + a_d x^d restricts to the
+    polynomial g(x) = sum a_i x^i on y = 1 and has a root of multiplicity
+    d - deg g at infinity. It is nonsingular when g is squarefree,
+    gcd(g, g') = 1, and that multiplicity is at most 1.
+    """
+    count = 0
+    for coeffs in product(range(p), repeat=d + 1):
+        g = list(coeffs)
+        while g and g[-1] == 0:
+            g.pop()
+        if len(g) < d:  # the zero form, or a multiple root at infinity
+            continue
+        derivative = [i * c % p for i, c in enumerate(g)][1:]
+        count += len(_poly_gcd_mod(g, derivative, p)) == 1
+    return count

@@ -343,11 +343,18 @@ def test_oversize_matrices_are_refused_before_enumeration(monkeypatch):
         raise AssertionError("monomials enumerated")
 
     monkeypatch.setattr(conditions, "enumerate_monomials", refuse)
+    monkeypatch.setattr(conditions, "monomial_index", refuse)
     cfg = random_configuration(6, 2, random.Random(0))
     with pytest.raises(ValueError, match="too large"):
         codimension(60, cfg)
     with pytest.raises(ValueError, match="too large"):
         conditions.evaluation_matrix(60, cfg)
+    # The degree-60 index alone would hold C(66, 6) = 90,858,768 monomials;
+    # the symbolic bound's guard must refuse before it is built.
+    with pytest.raises(ValueError, match="too large"):
+        ordinary_square_dim(60, cfg)
+    with pytest.raises(ValueError, match="too large"):
+        hilbert_function(60, cfg, "ordinary")
 
 
 def test_oversize_ordinary_square_is_refused_before_products(monkeypatch):
@@ -356,7 +363,11 @@ def test_oversize_ordinary_square_is_refused_before_products(monkeypatch):
             raise AssertionError("product loop reached")
 
     index = conditions.monomial_index
-    monkeypatch.setattr(conditions, "monomial_index", lambda d, n: NoLookup(index(d, n)))
+    # Only the degree-30 index feeds the product loop; the symbolic bound,
+    # taken first, reads the degree-29 one for its singularity columns.
+    monkeypatch.setattr(
+        conditions, "monomial_index", lambda d, n: NoLookup(index(d, n)) if d == 30 else index(d, n)
+    )
     cfg = random_configuration(2, 4, random.Random(0))
     with pytest.raises(ValueError, match="too large"):
         hilbert_function(30, cfg, "ordinary")
@@ -478,8 +489,9 @@ def test_verify_lemma_single_point_linear():
 
 
 def test_verify_lemma_below_bound_is_stamped_not_failed():
-    report = verify_codim_lemma(ParameterTriple(2, 1, 2), trials=5, seed=3)
-    assert not report.in_guaranteed_range
+    params = ParameterTriple(2, 1, 2)
+    assert not params.in_guaranteed_range
+    report = verify_codim_lemma(params, trials=5, seed=3)
     assert report.counterexamples == ()
     assert set(report.codimensions) == {3}  # below N(n+1) = 4, recorded as data
 

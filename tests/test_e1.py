@@ -138,7 +138,6 @@ def test_dual_top_class():
 
 def test_dual_of_empty_page_is_empty():
     page = E1Page(
-        params=ParameterTriple(9, 1, 5),
         coefficient_dim=10,
         columns={},
         fn_threshold=15,
@@ -187,7 +186,8 @@ def test_stable_match_through_n_twelve():
 
 
 def test_large_dimension_is_refused_before_any_table(monkeypatch):
-    assert vanishing_band(ParameterTriple(5, MAX_E1_DIMENSION, 3)).params.n == MAX_E1_DIMENSION
+    top = (MAX_E1_DIMENSION + 1) ** 2
+    assert vanishing_band(ParameterTriple(5, MAX_E1_DIMENSION, 3)).band == (top, 3)
 
     def no_table(*args):
         raise AssertionError("a table was built for an oversize dimension")
@@ -235,7 +235,7 @@ def test_stable_range_point_count_is_refused_before_any_row(monkeypatch):
 
 
 def test_general_linear_table_is_refused_above_the_same_dimension(monkeypatch):
-    assert stable_range_report(5, MAX_E1_DIMENSION).n == MAX_E1_DIMENSION
+    assert not stable_range_report(5, MAX_E1_DIMENSION).band_covers_gl
 
     def no_table(*args):
         raise AssertionError("a table was built for an oversize dimension")
@@ -354,7 +354,7 @@ def test_stable_range_builds_only_the_generators_in_its_band(monkeypatch):
     monkeypatch.setattr(e1, "gl_cohomology", lambda n: calls.append(n) or table(n))
     report = stable_range_report(5, 64)
     assert calls == [0]
-    assert report.n == 64 and not report.band_covers_gl
+    assert not report.band_covers_gl
 
 
 def test_stable_range_full_band_total():

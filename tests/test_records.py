@@ -37,7 +37,23 @@ def test_lemma_report_and_probe_pickle_and_compare_equal():
     assert type(copy) is CodimLemmaReport and type(copy.collinear) is CollinearProbe
     assert copy == report
     assert copy.collinear == report.collinear
-    assert copy.params == report.params and type(copy.params) is ParameterTriple
+
+
+def test_result_records_carry_results_not_their_inputs():
+    from stablecoh.e1 import BandReport, E1Page, StableRangeReport
+
+    assert CodimLemmaReport._fields == ("codimensions", "counterexamples", "collinear", "verified")
+    assert E1Page._fields == (
+        "coefficient_dim", "columns", "fn_threshold", "phi_dim_bounds", "guaranteed",
+        "regime_notes",
+    )
+    assert BandReport._fields == (
+        "coefficient_dim", "band", "bm_window", "supports", "minimal_support", "verified",
+        "guaranteed", "regime_notes",
+    )
+    assert StableRangeReport._fields == (
+        "N", "max_stable_degree", "rows", "band_covers_gl", "stable_positive_dim",
+    )
 
 
 @pytest.mark.parametrize(
