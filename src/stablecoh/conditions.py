@@ -2,10 +2,12 @@
 
 Requiring a degree-d form to be singular at a point imposes n+1 linear
 conditions (one per partial derivative). This module streams those
-condition columns into a certified rank, compares the two degreewise squares
-of a point ideal (products of ideal elements versus order-two vanishing),
-and packages the randomized verification of the codimension stabilization
-at degree 2N-1 together with the collinear sharpness probe.
+condition columns into a certified rank, building only the columns the rank
+reads and skipping those that vanish at every point; compares the two
+degreewise squares of a point ideal (products of ideal elements versus
+order-two vanishing); and packages the randomized verification of the
+codimension stabilization at degree 2N-1 together with the collinear
+sharpness probe.
 """
 
 from __future__ import annotations
@@ -63,30 +65,47 @@ def _monomial_values(point: tuple[int, ...], e: int, n: int) -> list[int]:
 
 
 def _singularity_columns(d: int, config: PointConfiguration) -> Iterator[list[int]]:
-    """Columns of the singularity conditions, each built when it is read.
+    """The nonzero columns of the singularity conditions, each built when it is read.
 
     One row per (point, variable i), one column per degree-d monomial e: the
     entry is d/dx_i x^e = e_i x^(e - eps_i) at the point's normal form, so the
     rank is the codimension of the forms vanishing to order >= 2 at every
-    point. The degree-(d-1) values are computed once per point; each column
-    looks up its n+1 partials among them as it is read.
+    point. The coordinates are permuted alike at every point, those zero at
+    the fewest points first: an automorphism of P^n, which keeps the rank.
+    Column e is nonzero exactly when e has degree <= 1 on the coordinates
+    vanishing at some point; the zero columns are skipped. Each degree-(d-1)
+    value is computed at every point when a column first reads it.
     """
     n = config.dimension
-    values = [_monomial_values(point, d - 1, n) for point in config.integer_points]
-    lower = monomial_index(d - 1, n)
+    order = sorted(range(n + 1), key=lambda i: sum(not p[i] for p in config.integer_points))
+    points = [[p[i] for i in order] for p in config.integer_points]
+    zero_sets = {tuple(i for i, c in enumerate(p) if not c) for p in points}
+    if () in zero_sets:  # a point with no zero coordinate: no column is zero
+        zero_sets = set()
+    pows = [[[c**k for k in range(d)] for c in p] for p in points]
+    values: dict[tuple[int, ...], list[int]] = {}  # lower monomial -> values at the points
+    no_partial = [0] * len(points)  # scaled by e_i = 0 where x_i is absent from e
     for e in enumerate_monomials(d, n):
-        partials = [(k, lower[e[:i] + (k - 1,) + e[i + 1:]] if k else 0) for i, k in enumerate(e)]
-        yield [k * vals[j] for vals in values for k, j in partials]
+        if zero_sets and all(sum(e[i] for i in z) > 1 for z in zero_sets):
+            continue
+        partials = []
+        for i, k in enumerate(e):
+            f = e[:i] + (k - 1,) + e[i + 1:]
+            if k and f not in values:
+                values[f] = [prod(map(getitem, t, f)) for t in pows]
+            partials.append((k, values[f] if k else no_partial))
+        yield [k * vals[j] for j in range(len(points)) for k, vals in partials]
 
 
 def codimension(d: int, config: PointConfiguration) -> int:
     """Number of independent conditions the singularities impose in degree d.
 
-    Certified from the columns read, reduced mod p. Below the smaller
-    dimension, as for the collinear probe at degree 2N-2, the pivot minor
-    and an exact left kernel of the pivot columns prove the rank from both
-    sides; only if the kernel check fails does Bareiss decide on the same
-    kept columns.
+    Certified from the columns read, reduced mod p: about N(n+1) of them at
+    full rank. Below the smaller dimension, as for the collinear probe at
+    degree 2N-2, every nonzero column is read, and the pivot minor and an
+    exact left kernel of the pivot columns prove the rank from both sides;
+    only if the kernel check fails does Bareiss decide on the same kept
+    columns. The size guard counts every column, zero or not.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
@@ -131,6 +150,11 @@ def ordinary_square_dim(d: int, config: PointConfiguration) -> int:
     # I^2 lies inside I^(2), so the rank is at most dim I^(2)_d. Taking that
     # bound first puts codimension's size guard before any enumeration.
     bound = symbolic_square_dim(d, config)
+    # A degree-e basis has at least C(e+n, n) - N forms, so the product count
+    # is bounded below before any kernel is built.
+    least = [max(0, coefficient_space_dim(e, n) - config.count) for e in range(d)]
+    fewest_pairs = sum(least[a] * least[d - a] for a in range(1, d // 2 + 1))
+    _check_size(fewest_pairs, coefficient_space_dim(d, n))
     index = monomial_index(d, n)
     n_cols = len(index)
     # Each basis form of degree e as its nonzero (exponent, coefficient) terms.

@@ -16,12 +16,12 @@ bound + 1 proves a false `upper`. Only r independent columns are needed, so
 a full-rank matrix is certified after reading about r of them; a caller
 that passes a generator never builds the rest.
 
-Below the bound every column has been read and kept exact, and the rank r
-mod p is proven from both sides (Kaltofen, Nehring and Saunders, ISSAC
-2011): the pivot minor A[R, C] is nonzero mod p, hence over Z, and rows - r
-independent integer vectors y spanning the left kernel of A[:, C], an
-r x rows system, satisfy y.A = 0 over Z on every column. A matrix with more
-rows than columns is certified as its transpose. Only an unlucky prime
+Below the bound every nonzero column has been read and kept exact, and the
+rank r mod p is proven from both sides (Kaltofen, Nehring and Saunders,
+ISSAC 2011): the pivot minor A[R, C] is nonzero mod p, hence over Z, and
+rows - r independent integer vectors y spanning the left kernel of A[:, C],
+an r x rows system, satisfy y.A = 0 over Z on every column. A matrix with
+more rows than columns is certified as its transpose. Only an unlucky prime
 fails the check, and then Bareiss elimination over the integers decides.
 Floating point never enters. The same forward elimination, followed by a
 fraction-free back-substitution, gives kernel bases as primitive integer

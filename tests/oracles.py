@@ -5,13 +5,15 @@ counted by explicit row-echelon enumeration over the two-element field,
 condition ranks are recomputed with sympy's own differentiation and rank,
 kernel bases come from sympy's nullspace, rank certificates are checked
 with sympy determinants and products, and point counts over prime fields
-come from the group-order formula or from enumerating matrices and forms.
+come from the group-order formula or from enumerating matrices and forms,
+and the ranks of singularity conditions over a prime field from an
+elimination written here.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import sympy
 from sympy.polys.matrices import DomainMatrix
@@ -119,27 +121,56 @@ def gl_order(m: int, q: int) -> int:
     return order
 
 
-def count_invertible_matrices(m: int, p: int) -> int:
-    """Count the m x m matrices over F_p of full rank, by enumeration.
-
-    Each matrix is reduced mod p by its own row elimination, written here.
-    """
-    count = 0
-    for entries in product(range(p), repeat=m * m):
-        rows = [list(entries[i * m:(i + 1) * m]) for i in range(m)]
-        rank = 0
-        for col in range(m):
-            pivot = next((r for r in range(rank, m) if rows[r][col]), None)
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            inv = pow(rows[rank][col], p - 2, p)
-            for r in range(rank + 1, m):
-                factor = rows[r][col] * inv % p
+def rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank over F_p of an integer matrix, by row elimination written here."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] * inv % p
+            if factor:
                 rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[rank])]
-            rank += 1
-        count += rank == m
-    return count
+        rank += 1
+    return rank
+
+
+def count_invertible_matrices(m: int, p: int) -> int:
+    """Count the m x m matrices over F_p of full rank, by enumeration."""
+    return sum(
+        rank_mod_p([list(entries[i * m:(i + 1) * m]) for i in range(m)], p) == m
+        for entries in product(range(p), repeat=m * m)
+    )
+
+
+def projective_points_mod_p(n: int, p: int) -> list[tuple[int, ...]]:
+    """The points of P^n(F_p), each as the vector in {0, .., p-1}^(n+1) led by a 1."""
+    return [v for v in product(range(p), repeat=n + 1) if next((x for x in v if x), 0) == 1]
+
+
+def singularity_rows_mod_p(d: int, point: tuple[int, ...], p: int) -> list[list[int]]:
+    """The n+1 singularity conditions on degree-d forms at a point, reduced mod p.
+
+    Row i holds d/dx_i x^e = e_i * prod_j c_j^(e_j - [i = j]) for every
+    degree-d monomial e, listed as a multiset of d variables.
+    """
+    n = len(point) - 1
+    monomials = [
+        [support.count(j) for j in range(n + 1)]
+        for support in combinations_with_replacement(range(n + 1), d)
+    ]
+    rows = []
+    for i in range(n + 1):
+        row = []
+        for e in monomials:
+            lower = [k - (i == j) for j, k in enumerate(e)]
+            row.append(e[i] * prod(pow(c, k, p) for c, k in zip(point, lower)) % p if e[i] else 0)
+        rows.append(row)
+    return rows
 
 
 def _poly_gcd_mod(f: list[int], g: list[int], p: int) -> list[int]:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb, prod
 from pathlib import Path
 
@@ -32,7 +33,14 @@ from stablecoh.points import (
     random_configuration,
 )
 
-from oracles import sympy_certified_rank, sympy_codimension, sympy_rank
+from oracles import (
+    projective_points_mod_p,
+    rank_mod_p,
+    singularity_rows_mod_p,
+    sympy_certified_rank,
+    sympy_codimension,
+    sympy_rank,
+)
 
 
 def plane_coords():
@@ -51,8 +59,38 @@ def condition_rows(d, cfg):
     return list(zip(*conditions._singularity_columns(d, cfg)))
 
 
+def ordered_points(cfg):
+    """The integer points, coordinates reordered by how many points vanish there, fewest first."""
+    ints = cfg.integer_points
+    order = sorted(range(cfg.dimension + 1), key=lambda i: sum(p[i] == 0 for p in ints))
+    return [[p[i] for i in order] for p in ints]
+
+
+def partial_columns(d, cfg):
+    """(e, column) for every degree-d monomial e, zero or not, at the reordered points.
+
+    The entry for (point, i) is d/dx_i x^e = e_i * prod_j c_j^(e_j - delta_ij),
+    computed from the exponents alone.
+    """
+    n = cfg.dimension
+    return [
+        (e, [
+            e[i] * prod(c ** (e[j] - (i == j)) for j, c in enumerate(point)) if e[i] else 0
+            for point in ordered_points(cfg)
+            for i in range(n + 1)
+        ])
+        for e in enumerate_monomials(d, n)
+    ]
+
+
+def lower_monomials(monomials):
+    """The degree-(d-1) monomials e - eps_i that the partials of these monomials read."""
+    return {e[:i] + (k - 1,) + e[i + 1:] for e in monomials for i, k in enumerate(e) if k}
+
+
 def test_matrix_binary_quadrics_at_origin_chart():
-    assert condition_rows(2, PointConfiguration(1, ((1, 0),))) == [(2, 0, 0), (0, 1, 0)]
+    # x1^2 vanishes to second order at [1 : 0], so its zero column is not streamed.
+    assert condition_rows(2, PointConfiguration(1, ((1, 0),))) == [(2, 0), (0, 1)]
 
 
 def test_matrix_linear_forms_constant_partials():
@@ -62,8 +100,9 @@ def test_matrix_linear_forms_constant_partials():
 
 
 def test_matrix_shape_and_rank_plane_conic():
+    # Only x0^2, x0*x1 and x0*x2 have a nonzero partial at [1 : 0 : 0].
     rows = condition_rows(2, PointConfiguration(2, ((1, 0, 0),)))
-    assert (len(rows), len(rows[0])) == (3, 6)
+    assert (len(rows), len(rows[0])) == (3, 3)
     assert integer_rank(rows) == 3
 
 
@@ -167,22 +206,46 @@ def test_codimension_matches_alexander_hirschowitz():
     assert SPORADIC <= exceptions
 
 
+def test_lemma_holds_at_every_four_points_of_the_plane_over_f3():
+    # Each 4-subset of P^2(F_3), lifted to coordinates in {0, 1, 2}, has
+    # conditions of rank 12 = N(n+1) over F_3 at d = 7 = 2N - 1. The rank
+    # over Q is at least that, and 12 is the cap, so codimension must be 12.
+    # Most coordinates are 0, which exercises the support skip and the
+    # coordinate order.
+    plane = projective_points_mod_p(2, 3)
+    rows = {point: singularity_rows_mod_p(7, point, 3) for point in plane}
+    subsets = list(combinations(plane, 4))
+    assert (len(plane), len(subsets)) == (13, 715)
+    for subset in subsets:
+        assert rank_mod_p([row for point in subset for row in rows[point]], 3) == 12
+        assert codimension(7, PointConfiguration(2, subset)) == 12, subset
+
+
 # --- the streamed certificate ----------------------------------------------------
 
 
+ZERO_HEAVY = [
+    # (d, configuration) with zero coordinates; the last three reorder them.
+    (3, coordinate_configuration(2, 3)),
+    (5, collinear_configuration(2, 3)),
+    (4, PointConfiguration(2, ((0, 1, 2), (3, 0, 5), (1, 4, 0), (0, 0, 1)))),
+    (5, PointConfiguration(3, ((0, 0, 1, 2), (0, 3, 0, 1), (0, 1, 1, 0), (1, 0, 0, 0)))),
+    (6, PointConfiguration(3, ((0, 2, 3, 5), (1, 0, 0, 0), (0, 1, 0, 0)))),
+]
+
+
 def test_streamed_columns_are_the_partial_derivatives():
-    # d/dx_i x^e at c is e_i * prod_j c_j^(e_j - delta_ij), from the exponents alone.
-    for n, d, N, cfg in alexander_hirschowitz_cases():
-        mons = enumerate_monomials(d, n)
+    # The stream is exactly the nonzero columns of the full matrix of partials
+    # at the reordered points, in graded-lex order.
+    cases = [(d, cfg) for _, d, _, cfg in alexander_hirschowitz_cases()] + ZERO_HEAVY
+    for d, cfg in cases:
         streamed = list(conditions._singularity_columns(d, cfg))
-        assert len(streamed) == len(mons), (n, d, N)
-        for e, column in zip(mons, streamed):
-            expected = [
-                e[i] * prod(c ** (e[j] - (i == j)) for j, c in enumerate(point)) if e[i] else 0
-                for point in cfg.integer_points
-                for i in range(n + 1)
-            ]
-            assert column == expected, (n, d, N, e)
+        nonzero = [column for _, column in partial_columns(d, cfg) if any(column)]
+        assert streamed == nonzero, (d, cfg)
+    # The first point of each of the last three cases, reordered.
+    assert [ordered_points(cfg)[0] for _, cfg in ZERO_HEAVY[2:]] == [
+        [2, 0, 1], [0, 1, 2, 0], [2, 0, 3, 5]
+    ]
 
 
 @pytest.fixture
@@ -216,25 +279,25 @@ def bareiss_calls(monkeypatch):
 
 
 @pytest.fixture
-def evaluations(monkeypatch):
-    """Patch the monomial evaluation to record the degree of every call."""
-    degrees = []
-    evaluate = conditions._monomial_values
+def products(monkeypatch):
+    """Patch the product behind every monomial value to record one entry per call."""
+    calls = []
 
-    def recording(point, e, n):
-        degrees.append(e)
-        return evaluate(point, e, n)
+    def recording(factors):
+        calls.append(None)
+        return prod(factors)
 
-    monkeypatch.setattr(conditions, "_monomial_values", recording)
-    return degrees
+    monkeypatch.setattr(conditions, "prod", recording)
+    return calls
 
 
 @pytest.mark.parametrize("d, cfg, rank, read", [
-    # Every partial of x0*x1*x2, the fifth column, vanishes at the coordinate
-    # points, so rank 9 needs all 10 columns.
-    (3, coordinate_configuration(2, 3), 9, 10),
-    # Points on a line at d = 5 >= 2N - 1: rank 9 is reached at column 16 of 21.
-    (5, collinear_configuration(2, 3), 9, 16),
+    # x0*x1*x2 vanishes to second order at every coordinate point, so its
+    # column is not streamed; rank 9 needs the 9 others.
+    (3, coordinate_configuration(2, 3), 9, 9),
+    # Points on the line x2 = 0 at d = 5 >= 2N - 1: the 11 columns of degree
+    # <= 1 in x2 are streamed, and rank 9 is reached at the tenth.
+    (5, collinear_configuration(2, 3), 9, 10),
 ])
 def test_certificate_reads_past_dependent_leading_columns(
     d, cfg, rank, read, columns_read, bareiss_calls
@@ -251,9 +314,12 @@ def test_points_equal_mod_p_fall_back_to_bareiss(columns_read, bareiss_calls):
     assert codimension(3, cfg) == 4 == sympy_codimension(3, list(cfg.points))
     assert columns_read == [4]
     assert bareiss_calls == [(4, 4)]
+    # Of the 21 quintic columns, the 14 of degree <= 1 in x2 or of degree
+    # >= 4 in x2 are nonzero, and Bareiss runs on those 9 x 14.
     plane = PointConfiguration(2, ((1, 0, 0), (1, PRIME, 0), (0, 0, 1)))
     assert codimension(5, plane) == 9 == sympy_codimension(5, list(plane.points))
-    assert bareiss_calls == [(4, 4), (9, 21)]
+    assert columns_read == [4, 14]
+    assert bareiss_calls == [(4, 4), (9, 14)]
 
 
 def test_certificate_work_count(columns_read, bareiss_calls):
@@ -262,25 +328,53 @@ def test_certificate_work_count(columns_read, bareiss_calls):
         assert codimension(15, random_configuration(3, 8, random.Random(seed))) == 32
     assert columns_read == [32] * 4
     assert bareiss_calls == []
-    # The collinear probe is rank-deficient: every column is read, and the
-    # pivot minor with an exact left kernel proves rank 31 without Bareiss.
+    # The collinear probe is rank-deficient: it reads every streamed column,
+    # 43 of the 680, and the pivot minor with an exact left kernel proves
+    # rank 31 without Bareiss.
     columns_read.clear()
     assert codimension(14, collinear_configuration(3, 8)) == 31
-    assert columns_read == [680]
+    assert columns_read == [43]
     assert bareiss_calls == []
 
 
-def test_each_point_is_evaluated_once(columns_read, bareiss_calls, evaluations):
-    # The certificate reuses the exact columns read: one degree-(d-1)
-    # evaluation per point, whether or not the rank is deficient.
-    assert codimension(14, collinear_configuration(3, 8)) == 31
-    assert evaluations == [13] * 8
-    assert columns_read == [680]
+def test_column_reads_stay_output_sensitive(columns_read, bareiss_calls):
+    # The larger probe streams 89 of its 14,950 columns.
+    assert codimension(22, collinear_configuration(4, 12)) == 59
+    assert columns_read[-1] <= 89
+    # A seeded trial with a point on x0 = 0: that coordinate goes last, so
+    # the trial reads as few columns as a trial with no zero coordinate.
+    cfg = random_configuration(4, 12, random.Random(derive_trial_seeds(0, 8)[2]))
+    assert any(point[0] == 0 for point in cfg.integer_points)
+    assert codimension(23, cfg) == 60
+    assert columns_read[-1] == 60
+    # The same with x0 = 0 set at one point of a (15, 3, 8) trial.
+    points = list(random_configuration(3, 8, random.Random(0)).points)
+    points[3] = (0,) + points[3][1:]
+    assert codimension(15, PointConfiguration(3, tuple(points))) == 32
+    assert columns_read[-1] == 32
     assert bareiss_calls == []
-    evaluations.clear()
+
+
+def test_each_point_is_evaluated_once(columns_read, bareiss_calls, products):
+    # The probe reads every nonzero column; each degree-13 value those
+    # columns need is computed once at each of the 8 points.
+    cfg = collinear_configuration(3, 8)
+    assert codimension(14, cfg) == 31
+    needed = [e for e, column in partial_columns(14, cfg) if any(column)]
+    assert columns_read == [len(needed)] == [43]
+    assert len(products) == 8 * len(lower_monomials(needed))
+    # A full-rank trial computes only the values its first 32 columns read.
+    products.clear()
     assert codimension(15, random_configuration(3, 8, random.Random(0))) == 32
-    assert evaluations == [14] * 8
-    assert columns_read == [680, 32]
+    assert len(products) == 8 * len(lower_monomials(enumerate_monomials(15, 3)[:32]))
+    # Eight points on a line through no coordinate point: rank-deficient
+    # with no zero column, so all 680 columns are read, and each of the
+    # C(16, 3) = 560 degree-13 values is computed once per point.
+    products.clear()
+    line = PointConfiguration(3, tuple((1, t + 2, 2 * t + 3, t + 5) for t in range(8)))
+    assert codimension(14, line) == 31
+    assert columns_read == [43, 32, 680]
+    assert len(products) == 8 * comb(16, 3)
     assert bareiss_calls == []
 
 
@@ -363,14 +457,36 @@ def test_oversize_ordinary_square_is_refused_before_products(monkeypatch):
             raise AssertionError("product loop reached")
 
     index = conditions.monomial_index
-    # Only the degree-30 index feeds the product loop; the symbolic bound,
-    # taken first, reads the degree-29 one for its singularity columns.
+    # Only the degree-30 index feeds the product loop.
     monkeypatch.setattr(
         conditions, "monomial_index", lambda d, n: NoLookup(index(d, n)) if d == 30 else index(d, n)
     )
     cfg = random_configuration(2, 4, random.Random(0))
     with pytest.raises(ValueError, match="too large"):
         hilbert_function(30, cfg, "ordinary")
+    # Collinear points impose dependent conditions, so their ideal has more
+    # forms than C(e+n, n) - N: the lower bound on the pairs passes
+    # (1,720,004 entries) and only the exact count after the kernels refuses.
+    monkeypatch.setattr(
+        conditions, "monomial_index", lambda d, n: NoLookup(index(d, n)) if d == 10 else index(d, n)
+    )
+    with pytest.raises(ValueError, match="too large: 8125 x 286"):
+        hilbert_function(10, collinear_configuration(3, 8), "ordinary")
+
+
+def test_oversize_ordinary_square_is_refused_before_any_kernel(monkeypatch):
+    # Each degree-e basis has at least C(e+4, 4) - 2 forms, so at d = 18 the
+    # pairs number at least 2,537,650, each a 7,315-entry product: refused
+    # before the lower-degree kernels, which take seconds and 300 MB to build.
+    def refuse(e, config):
+        raise AssertionError("kernel built")
+
+    monkeypatch.setattr(conditions, "ideal_degree_part", refuse)
+    cfg = random_configuration(4, 2, random.Random(0))
+    with pytest.raises(ValueError, match="too large: 2537650 x 7315"):
+        ordinary_square_dim(18, cfg)
+    with pytest.raises(ValueError, match="too large"):
+        hilbert_function(18, cfg, "ordinary")
 
 
 # --- ideal degree parts and squares --------------------------------------------
