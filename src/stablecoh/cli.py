@@ -463,7 +463,8 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; given a command, only that subparser gets its flags."""
     parser = argparse.ArgumentParser(
         prog="stablecoh",
         description="Exact verification runs for discriminant-complement bookkeeping.",
@@ -472,6 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags, seeded) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if command not in (None, name):
+            continue
         for flag, options in flags:
             p.add_argument(flag, **options)
         p.add_argument("--format", choices=("json", "csv", "table"), default="table")
@@ -486,7 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         if args.jobs < 1:
             raise UsageError(f"--jobs must be >= 1, got {args.jobs}")

@@ -1,13 +1,15 @@
 """Singularity conditions at point configurations, in exact arithmetic.
 
 Requiring a degree-d form to be singular at a point imposes n+1 linear
-conditions (one per partial derivative). This module streams those
-condition columns into a certified rank, building only the columns the rank
-reads and skipping those that vanish at every point; compares the two
-degreewise squares of a point ideal (products of ideal elements versus
-order-two vanishing); and packages the randomized verification of the
-codimension stabilization at degree 2N-1 together with the collinear
-sharpness probe.
+conditions (one per partial derivative). Their rank has three engines: for
+d >= 2N-1, the block-diagonal conditions of the lemma's witness forms;
+otherwise, or if a witness block fails, a stream of the nonzero condition
+columns into a rank certified mod p, each built when the rank reads it;
+and Bareiss elimination when that certificate fails. This module also
+compares the two degreewise squares of a point ideal (products of ideal
+elements versus order-two vanishing), and packages the randomized
+verification of the codimension stabilization at degree 2N-1 together
+with the collinear sharpness probe.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 import random
 import sys
 from math import prod
-from operator import add, getitem
+from operator import add, getitem, mul
 from typing import Iterator, NamedTuple
 
 from .linalg import ExactMatrix, certified_rank, integer_rank, kernel_basis
@@ -64,6 +66,15 @@ def _monomial_values(point: tuple[int, ...], e: int, n: int) -> list[int]:
     return [prod(map(getitem, pows, exps)) for exps in enumerate_monomials(e, n)]
 
 
+def _monomials_on(d: int, coords: list[int], n: int) -> Iterator[tuple[int, ...]]:
+    """The degree-d monomials in the variables x_i, i in coords, as (n+1)-tuples."""
+    for exps in enumerate_monomials(d, len(coords) - 1):
+        e = [0] * (n + 1)
+        for i, k in zip(coords, exps):
+            e[i] = k
+        yield tuple(e)
+
+
 def _singularity_columns(d: int, config: PointConfiguration) -> Iterator[list[int]]:
     """The nonzero columns of the singularity conditions, each built when it is read.
 
@@ -72,22 +83,29 @@ def _singularity_columns(d: int, config: PointConfiguration) -> Iterator[list[in
     rank is the codimension of the forms vanishing to order >= 2 at every
     point. The coordinates are permuted alike at every point, those zero at
     the fewest points first: an automorphism of P^n, which keeps the rank.
-    Column e is nonzero exactly when e has degree <= 1 on the coordinates
-    vanishing at some point; the zero columns are skipped. Each degree-(d-1)
-    value is computed at every point when a column first reads it.
+    Column e is nonzero exactly when e has degree <= 1 on the coordinates Z
+    vanishing at some point, so when every point has a zero coordinate only
+    those monomials are enumerated, per zero set Z: the degree-d ones off Z
+    and x_z times the degree-(d-1) ones off Z, for each z in Z. Each
+    degree-(d-1) value is computed at every point when a column first reads it.
     """
     n = config.dimension
     order = sorted(range(n + 1), key=lambda i: sum(not p[i] for p in config.integer_points))
     points = [[p[i] for i in order] for p in config.integer_points]
     zero_sets = {tuple(i for i, c in enumerate(p) if not c) for p in points}
     if () in zero_sets:  # a point with no zero coordinate: no column is zero
-        zero_sets = set()
+        candidates = enumerate_monomials(d, n)
+    else:
+        kept = set()
+        for z in zero_sets:
+            free = [i for i in range(n + 1) if i not in z]
+            kept.update(_monomials_on(d, free, n))
+            kept.update(e[:i] + (1,) + e[i + 1:] for e in _monomials_on(d - 1, free, n) for i in z)
+        candidates = sorted(kept, reverse=True)  # graded-lex order
     pows = [[[c**k for k in range(d)] for c in p] for p in points]
     values: dict[tuple[int, ...], list[int]] = {}  # lower monomial -> values at the points
     no_partial = [0] * len(points)  # scaled by e_i = 0 where x_i is absent from e
-    for e in enumerate_monomials(d, n):
-        if zero_sets and all(sum(e[i] for i in z) > 1 for z in zero_sets):
-            continue
+    for e in candidates:
         partials = []
         for i, k in enumerate(e):
             f = e[:i] + (k - 1,) + e[i + 1:]
@@ -97,21 +115,68 @@ def _singularity_columns(d: int, config: PointConfiguration) -> Iterator[list[in
         yield [k * vals[j] for j in range(len(points)) for k, vals in partials]
 
 
+def _separating_form(p: tuple[int, ...], q: tuple[int, ...]) -> list[int]:
+    """The linear form q_j x_i - q_i x_j, for the first i < j with p_i q_j != p_j q_i."""
+    i, j = next((i, j) for i in range(len(p)) for j in range(i + 1, len(p))
+                if p[i] * q[j] != p[j] * q[i])
+    form = [0] * len(p)
+    form[i], form[j] = q[j], -q[i]
+    return form
+
+
+def _witness_blocks(d: int, config: PointConfiguration) -> list[list[list[int]]] | None:
+    """The diagonal blocks of the codimension lemma's witness forms, for d >= 2N-1.
+
+    For each point p_a, K_a = M_a^(d+1-2N) * prod_{b != a} L_ab^2 has degree
+    d-1, where M_a = x_m for the first nonzero coordinate m of p_a and
+    L_ab = _separating_form(p_a, p_b). Each L_ab is checked to vanish at p_b,
+    so K_a and its gradient vanish there, and not at p_a. The conditions of
+    the forms x_j * K_a are then zero at every point but p_a, where they form
+    B_a[i][j] = delta_ij K_a(p_a) + p_a[j] dK_a/dx_i(p_a) by the product
+    rule. Returns None if a form fails a check.
+    """
+    points = config.integer_points
+    blocks = []
+    for a, p in enumerate(points):
+        m = next(i for i, c in enumerate(p) if c)
+        # (form, exponent k, value v at p_a) per factor of K_a; v divides K_a(p_a) if k > 0
+        factors = [([int(i == m) for i in range(len(p))], d + 1 - 2 * len(points), p[m])]
+        for b, q in enumerate(points):
+            if b != a:
+                form = _separating_form(p, q)
+                value = sum(map(mul, form, p))
+                if sum(map(mul, form, q)) or not value:
+                    return None
+                factors.append((form, 2, value))
+        at_p = prod(v**k for _, k, v in factors)
+        grad = [sum(k * form[i] * (at_p // v) for form, k, v in factors) for i in range(len(p))]
+        blocks.append([[at_p * (i == j) + p[j] * grad[i] for j in range(len(p))]
+                       for i in range(len(p))])
+    return blocks
+
+
 def codimension(d: int, config: PointConfiguration) -> int:
     """Number of independent conditions the singularities impose in degree d.
 
-    Certified from the columns read, reduced mod p: about N(n+1) of them at
-    full rank. Below the smaller dimension, as for the collinear probe at
-    degree 2N-2, every nonzero column is read, and the pivot minor and an
-    exact left kernel of the pivot columns prove the rank from both sides;
-    only if the kernel check fails does Bareiss decide on the same kept
-    columns. The size guard counts every column, zero or not.
+    A size guard counting every column, zero or not, comes first. For
+    d >= 2N-1 the witness forms x_j * K_a (see _witness_blocks) have
+    block-diagonal conditions; full certified rank on every block proves
+    rank N(n+1), the row count. Otherwise the nonzero columns are streamed
+    and certified mod p: about N(n+1) of them at full rank, every one below
+    the smaller dimension, as for the collinear probe at degree 2N-2. There
+    the pivot minor and an exact left kernel prove the rank from both sides,
+    and only if that check fails does Bareiss decide on the kept columns.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     rows = config.count * (config.dimension + 1)
     cols = coefficient_space_dim(d, config.dimension)
     _check_size(rows, cols)
+    if d >= 2 * config.count - 1:
+        size = config.dimension + 1
+        blocks = _witness_blocks(d, config)
+        if blocks is not None and all(certified_rank(b, (size, size)) == size for b in blocks):
+            return rows
     return certified_rank(_singularity_columns(d, config), (rows, cols))
 
 

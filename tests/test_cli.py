@@ -382,3 +382,17 @@ def test_argument_surface():
             (flag, req, jobs if default is JOBS else default, typ, choices)
             for flag, req, default, typ, choices in expected
         ], name
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_subcommand_help_matches_the_full_parser(name, capsys):
+    # main builds flags for the invoked subcommand only; its help is unchanged.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([name, "--help"])
+    assert exc.value.code == 0
+    full = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == full
+    assert f"usage: stablecoh {name}" in full

@@ -59,6 +59,12 @@ def condition_rows(d, cfg):
     return list(zip(*conditions._singularity_columns(d, cfg)))
 
 
+def stream_rank(d, cfg):
+    """The rank the column stream certifies, with no witness in front of it."""
+    shape = (cfg.count * (cfg.dimension + 1), comb(d + cfg.dimension, cfg.dimension))
+    return linalg.certified_rank(conditions._singularity_columns(d, cfg), shape)
+
+
 def ordered_points(cfg):
     """The integer points, coordinates reordered by how many points vanish there, fewest first."""
     ints = cfg.integer_points
@@ -218,7 +224,9 @@ def test_lemma_holds_at_every_four_points_of_the_plane_over_f3():
     assert (len(plane), len(subsets)) == (13, 715)
     for subset in subsets:
         assert rank_mod_p([row for point in subset for row in rows[point]], 3) == 12
-        assert codimension(7, PointConfiguration(2, subset)) == 12, subset
+        cfg = PointConfiguration(2, subset)
+        assert codimension(7, cfg) == stream_rank(7, cfg) == 12, subset
+        assert codimension(8, cfg) == 12, subset
 
 
 # --- the streamed certificate ----------------------------------------------------
@@ -302,7 +310,7 @@ def products(monkeypatch):
 def test_certificate_reads_past_dependent_leading_columns(
     d, cfg, rank, read, columns_read, bareiss_calls
 ):
-    assert codimension(d, cfg) == rank == sympy_codimension(d, list(cfg.points))
+    assert stream_rank(d, cfg) == rank == sympy_codimension(d, list(cfg.points))
     assert columns_read == [read]
     assert bareiss_calls == []
 
@@ -311,13 +319,13 @@ def test_points_equal_mod_p_fall_back_to_bareiss(columns_read, bareiss_calls):
     # (1, 0) and (1, p) are distinct points that coincide mod p: the rank mod
     # p is that of one double point, so the certificate fails and Bareiss decides.
     cfg = PointConfiguration(1, ((1, 0), (1, PRIME)))
-    assert codimension(3, cfg) == 4 == sympy_codimension(3, list(cfg.points))
+    assert stream_rank(3, cfg) == 4 == sympy_codimension(3, list(cfg.points))
     assert columns_read == [4]
     assert bareiss_calls == [(4, 4)]
     # Of the 21 quintic columns, the 14 of degree <= 1 in x2 or of degree
     # >= 4 in x2 are nonzero, and Bareiss runs on those 9 x 14.
     plane = PointConfiguration(2, ((1, 0, 0), (1, PRIME, 0), (0, 0, 1)))
-    assert codimension(5, plane) == 9 == sympy_codimension(5, list(plane.points))
+    assert stream_rank(5, plane) == 9 == sympy_codimension(5, list(plane.points))
     assert columns_read == [4, 14]
     assert bareiss_calls == [(4, 4), (9, 14)]
 
@@ -325,32 +333,32 @@ def test_points_equal_mod_p_fall_back_to_bareiss(columns_read, bareiss_calls):
 def test_certificate_work_count(columns_read, bareiss_calls):
     # Full rank at seeded points: the certificate reads 32 of the 816 columns.
     for seed in range(4):
-        assert codimension(15, random_configuration(3, 8, random.Random(seed))) == 32
+        assert stream_rank(15, random_configuration(3, 8, random.Random(seed))) == 32
     assert columns_read == [32] * 4
     assert bareiss_calls == []
     # The collinear probe is rank-deficient: it reads every streamed column,
     # 43 of the 680, and the pivot minor with an exact left kernel proves
     # rank 31 without Bareiss.
     columns_read.clear()
-    assert codimension(14, collinear_configuration(3, 8)) == 31
+    assert stream_rank(14, collinear_configuration(3, 8)) == 31
     assert columns_read == [43]
     assert bareiss_calls == []
 
 
 def test_column_reads_stay_output_sensitive(columns_read, bareiss_calls):
     # The larger probe streams 89 of its 14,950 columns.
-    assert codimension(22, collinear_configuration(4, 12)) == 59
+    assert stream_rank(22, collinear_configuration(4, 12)) == 59
     assert columns_read[-1] <= 89
     # A seeded trial with a point on x0 = 0: that coordinate goes last, so
     # the trial reads as few columns as a trial with no zero coordinate.
     cfg = random_configuration(4, 12, random.Random(derive_trial_seeds(0, 8)[2]))
     assert any(point[0] == 0 for point in cfg.integer_points)
-    assert codimension(23, cfg) == 60
+    assert stream_rank(23, cfg) == 60
     assert columns_read[-1] == 60
     # The same with x0 = 0 set at one point of a (15, 3, 8) trial.
     points = list(random_configuration(3, 8, random.Random(0)).points)
     points[3] = (0,) + points[3][1:]
-    assert codimension(15, PointConfiguration(3, tuple(points))) == 32
+    assert stream_rank(15, PointConfiguration(3, tuple(points))) == 32
     assert columns_read[-1] == 32
     assert bareiss_calls == []
 
@@ -359,23 +367,146 @@ def test_each_point_is_evaluated_once(columns_read, bareiss_calls, products):
     # The probe reads every nonzero column; each degree-13 value those
     # columns need is computed once at each of the 8 points.
     cfg = collinear_configuration(3, 8)
-    assert codimension(14, cfg) == 31
+    assert stream_rank(14, cfg) == 31
     needed = [e for e, column in partial_columns(14, cfg) if any(column)]
     assert columns_read == [len(needed)] == [43]
     assert len(products) == 8 * len(lower_monomials(needed))
     # A full-rank trial computes only the values its first 32 columns read.
     products.clear()
-    assert codimension(15, random_configuration(3, 8, random.Random(0))) == 32
+    assert stream_rank(15, random_configuration(3, 8, random.Random(0))) == 32
     assert len(products) == 8 * len(lower_monomials(enumerate_monomials(15, 3)[:32]))
     # Eight points on a line through no coordinate point: rank-deficient
     # with no zero column, so all 680 columns are read, and each of the
     # C(16, 3) = 560 degree-13 values is computed once per point.
     products.clear()
     line = PointConfiguration(3, tuple((1, t + 2, 2 * t + 3, t + 5) for t in range(8)))
-    assert codimension(14, line) == 31
+    assert stream_rank(14, line) == 31
     assert columns_read == [43, 32, 680]
     assert len(products) == 8 * comb(16, 3)
     assert bareiss_calls == []
+
+
+def test_zero_heavy_stream_never_enumerates_the_whole_basis(monkeypatch):
+    # Every point of the probe has a zero coordinate, so the stream builds its
+    # columns from the monomials on the coordinates off each zero set.
+    enumerate_all = conditions.enumerate_monomials
+
+    def refuse_whole_basis(d, n):
+        assert (d, n) != (22, 4), "the whole degree-22 basis was enumerated"
+        return enumerate_all(d, n)
+
+    monkeypatch.setattr(conditions, "enumerate_monomials", refuse_whole_basis)
+    cfg = collinear_configuration(4, 12)
+    assert len(list(conditions._singularity_columns(22, cfg))) == 89
+    assert stream_rank(22, cfg) == 59
+
+
+# --- the lemma's witness ---------------------------------------------------------
+
+
+LEMMA_SIZES = [(15, 3, 8), (11, 4, 6), (23, 2, 12)]
+
+
+def test_witness_agrees_with_the_stream(columns_read):
+    # codimension reads no column, and the stream alone gives the same value.
+    configs = [(d, random_configuration(n, N, random.Random(s)))
+               for d, n, N in LEMMA_SIZES for s in derive_trial_seeds(5, 4)]
+    x0_seed = derive_trial_seeds(0, 8)[2]
+    configs.append((23, random_configuration(4, 12, random.Random(x0_seed))))
+    configs.append((20, collinear_configuration(3, 8)))  # points on a line, d > 2N-1
+    for d, cfg in configs:
+        expected = cfg.count * (cfg.dimension + 1)
+        assert codimension(d, cfg) == expected
+        assert columns_read == []
+        assert stream_rank(d, cfg) == expected
+        columns_read.clear()
+
+
+@pytest.mark.parametrize("d, n, N", LEMMA_SIZES + [(23, 4, 12)])
+def test_sampled_lemma_trials_never_fall_back(d, n, N, columns_read):
+    report = verify_codim_lemma(ParameterTriple(d, n, N), trials=4, seed=9)
+    assert report.verified and set(report.codimensions) == {N * (n + 1)}
+    assert len(columns_read) == 1  # the collinear probe at 2N-2 only
+
+
+def test_witness_certifies_points_equal_mod_p(columns_read, bareiss_calls):
+    # (1, 0) and (1, p): each K_a(p_a) is p^2, so each block is singular mod
+    # p, and Bareiss proves its full rank over Q without the stream.
+    cfg = PointConfiguration(1, ((1, 0), (1, PRIME)))
+    assert codimension(3, cfg) == 4
+    assert columns_read == []
+    assert bareiss_calls == [(2, 2), (2, 2)]
+
+
+def test_failed_witness_falls_back_to_the_stream(monkeypatch, columns_read):
+    cfg = random_configuration(3, 4, random.Random(3))
+    separate = conditions._separating_form
+
+    def not_vanishing(p, q):
+        # Still nonzero at p, but no longer zero at q.
+        return [c + x for c, x in zip(separate(p, q), p)]
+
+    monkeypatch.setattr(conditions, "_separating_form", not_vanishing)
+    assert conditions._witness_blocks(7, cfg) is None
+    assert codimension(7, cfg) == 16
+    assert columns_read == [16]
+    # A block of rank below n+1 also hands the degree to the stream.
+    monkeypatch.setattr(conditions, "_separating_form", separate)
+    blocks = conditions._witness_blocks(7, cfg)
+    blocks[2] = [[row[0]] * 4 for row in blocks[2]]
+    monkeypatch.setattr(conditions, "_witness_blocks", lambda d, config: blocks)
+    assert codimension(7, cfg) == 16
+    assert columns_read == [16, 16]
+
+
+def witness_polynomial(d, points, a):
+    """K_a as {exponent: coefficient}, built from the lemma's recipe by polynomial products."""
+    p, n1 = points[a], len(points[a])
+    m = next(i for i, c in enumerate(p) if c)
+    forms = [[int(i == m) for i in range(n1)]] * (d + 1 - 2 * len(points))
+    for b, q in enumerate(points):
+        if b != a:
+            i, j = next((i, j) for i, j in combinations(range(n1), 2)
+                        if p[i] * q[j] != p[j] * q[i])
+            form = [0] * n1
+            form[i], form[j] = q[j], -q[i]
+            forms += [form, form]
+    poly = {(0,) * n1: 1}
+    for form in forms:
+        product = {}
+        for e, c in poly.items():
+            for i, f in enumerate(form):
+                if f:
+                    key = e[:i] + (e[i] + 1,) + e[i + 1:]
+                    product[key] = product.get(key, 0) + c * f
+        poly = product
+    return poly
+
+
+@pytest.mark.parametrize("d, n, N, seed", [(3, 1, 2, 0), (5, 2, 3, 1), (6, 2, 3, 2),
+                                           (4, 3, 2, 3), (7, 1, 3, 4)])
+def test_witness_blocks_are_the_conditions_of_the_witness_forms(d, n, N, seed):
+    # With no zero coordinate, the stream is every column in graded-lex order.
+    rng = random.Random(seed)
+    cfg = random_configuration(n, N, rng)
+    while any(0 in point for point in cfg.integer_points):
+        cfg = random_configuration(n, N, rng)
+    assert any(point[0] != 1 for point in cfg.integer_points)
+    matrix = list(conditions._singularity_columns(d, cfg))
+    monomials = enumerate_monomials(d, n)
+    blocks = conditions._witness_blocks(d, cfg)
+    for a in range(N):
+        kpoly = witness_polynomial(d, cfg.integer_points, a)
+        for j in range(n + 1):
+            form = {e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in kpoly.items()}
+            conditions_of_form = [
+                sum(form.get(e, 0) * column[r] for e, column in zip(monomials, matrix))
+                for r in range(N * (n + 1))
+            ]
+            expected = [0] * (N * (n + 1))
+            for i in range(n + 1):
+                expected[a * (n + 1) + i] = blocks[a][i][j]
+            assert conditions_of_form == expected, (a, j)
 
 
 @pytest.fixture
