@@ -162,22 +162,21 @@ def codimension(d: int, config: PointConfiguration) -> int:
     d >= 2N-1 the witness forms x_j * K_a (see _witness_blocks) have
     block-diagonal conditions; full certified rank on every block proves
     rank N(n+1), the row count. Otherwise the nonzero columns are streamed
-    and certified mod p: about N(n+1) of them at full rank, every one below
-    the smaller dimension, as for the collinear probe at degree 2N-2. There
-    the pivot minor and an exact left kernel prove the rank from both sides,
-    and only if that check fails does Bareiss decide on the kept columns.
+    and certified mod p: about N(n+1) of them at full row rank, every one
+    when the rank is below both the row count and the number of nonzero
+    columns, as for the collinear probe at degree 2N-2. There the pivot
+    minor and an exact left kernel prove the rank from both sides, and only
+    if that check fails does Bareiss decide on the kept columns.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     rows = config.count * (config.dimension + 1)
-    cols = coefficient_space_dim(d, config.dimension)
-    _check_size(rows, cols)
+    _check_size(rows, coefficient_space_dim(d, config.dimension))
     if d >= 2 * config.count - 1:
-        size = config.dimension + 1
         blocks = _witness_blocks(d, config)
-        if blocks is not None and all(certified_rank(b, (size, size)) == size for b in blocks):
+        if blocks is not None and all(certified_rank(b) == len(b) for b in blocks):
             return rows
-    return certified_rank(_singularity_columns(d, config), (rows, cols))
+    return certified_rank(_singularity_columns(d, config))
 
 
 def symbolic_square_dim(d: int, config: PointConfiguration) -> int:

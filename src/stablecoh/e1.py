@@ -15,26 +15,14 @@ from collections import Counter
 from typing import NamedTuple
 
 from .params import ParameterTriple, coefficient_space_dim
-from .tables import GradedTateVector, gaussian_binomial, gl_cohomology, shifted_grassmannian
-
-# Largest projective dimension n that band, e1-page, stable-verify,
-# stable-range and gl-cohomology accept. Time and memory grow as n^3 to n^4:
-# at n = 64 each takes at most 0.7 s and 83 MB (e1-page), the general-linear
-# table alone takes 4 s and 110 MB at n = 100, and band --n 1100 passed 2 GB.
-# Every golden, acceptance and benchmark case has n <= 12. Larger n raise
-# ValueError (exit 2 in the CLI) instead of running for minutes.
-MAX_E1_DIMENSION = 64
+from .tables import (MAX_E1_DIMENSION, GradedTateVector, check_e1_dimension, gaussian_binomial,
+                     gl_cohomology, shifted_grassmannian)
 
 # Largest point count N that band, e1-page and stable-range (N = (d+1)//2)
 # accept. e1-page --d 3 --n 1 --format json takes 0.27 s and 43 MB at
 # N = 100,000 and 2.7 s and 298 MB at N = 1,000,000; stable-range takes 2.6 s
 # and 182 MB at d = 199,999, n = 64. Golden and benchmark cases have N <= 18.
 MAX_E1_POINTS = 100_000
-
-
-def check_e1_dimension(n: int) -> None:
-    if n > MAX_E1_DIMENSION:
-        raise ValueError(f"problem too large: n = {n} exceeds {MAX_E1_DIMENSION}")
 
 
 class E1Page(NamedTuple):

@@ -5,27 +5,28 @@ library needs are invariant under rescaling a row, so callers clear
 denominators once, where the input is parsed, and no rational arithmetic
 happens below that.
 
-A rank is certified modulo one fixed prime p below 2^30, column by column.
-Each column is reduced mod p against an echelon basis of the columns read
-before it, and reading stops once the rank reaches min(rows, cols, bound+1).
-The bound is proven: the smaller matrix dimension, or a tighter bound the
-caller proves (the ordinary square passes dim I^(2)_d, since I^2 is
-inside I^(2)). The rank mod p of any set of columns is at most
-rank_Q(A), so a rank that meets the bound is exact, and one that reaches
-bound + 1 proves a false `upper`. Only r independent columns are needed, so
-a full-rank matrix is certified after reading about r of them; a caller
-that passes a generator never builds the rest.
+A rank is certified modulo one fixed prime p below 2^30, column by column,
+from the columns alone: the first gives the row count, and the bound is
+min(rows, columns read), or a tighter `upper` the caller proves (the
+ordinary square passes dim I^(2)_d, since I^2 is inside I^(2)). Each column
+is reduced mod p against an echelon basis of the columns read before it.
+The rank mod p of any set of columns is at most rank_Q(A), so reading stops
+early only when every row is a pivot, where the rank is exact, or at rank
+upper + 1, which proves `upper` false. A matrix of full row rank r is thus
+certified after about r columns; a caller that passes a generator never
+builds the rest.
 
-Below the bound every nonzero column has been read and kept exact, and the
-rank r mod p is proven from both sides (Kaltofen, Nehring and Saunders,
-ISSAC 2011): the pivot minor A[R, C] is nonzero mod p, hence over Z, and
+Below the bound every column has been read and kept exact, and the rank r
+mod p is proven from both sides (Kaltofen, Nehring and Saunders, ISSAC
+2011): the pivot minor A[R, C] is nonzero mod p, hence over Z, and
 rows - r independent integer vectors y spanning the left kernel of A[:, C],
-an r x rows system, satisfy y.A = 0 over Z on every column. A matrix with
-more rows than columns is certified as its transpose. Only an unlucky prime
-fails the check, and then Bareiss elimination over the integers decides.
-Floating point never enters. The same forward elimination, followed by a
-fraction-free back-substitution, gives kernel bases as primitive integer
-vectors, byte-identical for identical inputs.
+an r x rows system, satisfy y.A = 0 over Z on every column. With fewer
+columns read than rows, the matrix is certified as its transpose. Only an
+unlucky prime fails the check, and then Bareiss elimination over the
+integers decides, in the same orientation. Floating point never enters.
+The same forward elimination, followed by a fraction-free
+back-substitution, gives kernel bases as primitive integer vectors,
+byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ from typing import Iterable, NamedTuple, Sequence
 PRIME = 1073741789
 
 
-def modular_column_rank(columns: Iterable[Sequence[int]], stop: int) -> list[tuple[int, int]]:
+def modular_column_rank(
+    columns: Iterable[Sequence[int]], stop: int | None = None
+) -> list[tuple[int, int]]:
     """Pivots of the matrix with these columns over the field with PRIME elements.
 
     Columns are read one at a time against a reduced echelon basis of the
@@ -48,15 +51,15 @@ def modular_column_rank(columns: Iterable[Sequence[int]], stop: int) -> list[tup
     basis columns given by its pivot-row entries, so each other row's entry
     is a dot product with those entries, and the residual is the column
     minus them. Only a column with a nonzero residual updates the basis.
-    Reading ends once the rank reaches `stop`, so columns past that point
-    are never built when the caller passes a generator. The rank of a
-    column subset mod p is at most the rank over the rationals of the whole
-    matrix. Each pivot is returned as its row and the index of its column,
+    Reading ends once the rank reaches `stop` or every row is a pivot, so
+    columns past that point are never built when the caller passes a
+    generator. The rank of a column subset mod p is at most the rank over
+    the rationals of the whole matrix. Each pivot is returned as its row and the index of its column,
     so the rank mod p is their number; the minor at those rows and columns
     is nonzero mod p, as the basis they span is the identity on the pivot
     rows.
     """
-    if stop < 1:
+    if stop is not None and stop < 1:
         return []
     p = PRIME
     heads: list[int] = []
@@ -83,7 +86,7 @@ def modular_column_rank(columns: Iterable[Sequence[int]], stop: int) -> list[tup
             coeffs[i].append(t)
         heads.append(q)
         pivots.append((q, j))
-        if len(heads) == stop:
+        if len(heads) == stop or not coeffs:
             break
     return pivots
 
@@ -128,7 +131,7 @@ def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
 
 
 def _rank_certificate(
-    columns: Sequence[Sequence[int]], pivots: list[tuple[int, int]], n_rows: int
+    columns: Sequence[Sequence[int]], pivots: list[tuple[int, int]]
 ) -> tuple[Sequence[Sequence[int]], list[int], list[int], tuple[tuple[int, ...], ...]] | None:
     """Proof that the matrix with these columns has rank r = len(pivots).
 
@@ -139,7 +142,7 @@ def _rank_certificate(
     pivot columns and kernel, or None when the check fails.
     """
     pivot_rows, pivot_cols = [i for i, _ in pivots], [j for _, j in pivots]
-    if len(columns) < n_rows:
+    if len(columns) < len(columns[0]):
         columns, pivot_rows, pivot_cols = list(zip(*columns)), pivot_cols, pivot_rows
     kernel = kernel_basis([columns[j] for j in pivot_cols], len(columns[0]))
     if any(sum(map(mul, y, col)) for y in kernel for col in columns):
@@ -147,31 +150,27 @@ def _rank_certificate(
     return columns, pivot_rows, pivot_cols, kernel
 
 
-def certified_rank(
-    columns: Iterable[Sequence[int]], shape: tuple[int, int], upper: int | None = None
-) -> int:
+def certified_rank(columns: Iterable[Sequence[int]], upper: int | None = None) -> int:
     """Exact rank over the rationals of an integer matrix given column by column.
 
-    The bound is min(rows, cols), or min(upper, rows, cols) when the caller
-    passes `upper`, which must be a proven upper bound on the rank. The
-    columns are read mod PRIME until the rank reaches the bound plus one, or
-    the smaller dimension: a rank mod p never exceeds the true rank, so one
-    that meets the bound is exact, and one above it proves the bound false.
-    Below the bound every column has been read, and the rank r mod p is
+    The first column gives the row count, and the bound is min(rows, columns
+    read, upper); `upper`, if given, must be a proven upper bound on the
+    rank. Columns are read mod PRIME until every row is a pivot, the rank
+    reaches upper + 1, or the stream ends: a rank mod p never exceeds the
+    true rank, so one that meets the bound is exact, and one above it proves
+    `upper` false and raises ValueError. Below the bound the rank r mod p is
     proven by its pivot minor and an exact left kernel of dimension
-    min(rows, cols) - r; only if the kernel check fails does Bareiss decide
-    on the kept columns, in the orientation with fewer rows. A rank above
-    `upper` raises ValueError.
+    min(rows, columns) - r; only if the kernel check fails does Bareiss
+    decide, in the orientation with fewer rows.
     """
-    n_rows, n_cols = shape
-    smaller = min(n_rows, n_cols)
-    bound = smaller if upper is None else min(upper, smaller)
     kept: list[Sequence[int]] = []
     stream = (kept.append(c) or c for c in columns)
-    pivots = modular_column_rank(stream, min(smaller, bound + 1))
+    pivots = modular_column_rank(stream, None if upper is None else upper + 1)
     rank = len(pivots)
-    if rank < bound and _rank_certificate(kept, pivots, n_rows) is None:
-        rank = bareiss_rank(kept if n_cols < n_rows else list(zip(*kept)))
+    n_rows = len(kept[0]) if kept else 0
+    bound = min(n_rows, len(kept), len(kept) if upper is None else upper)
+    if rank < bound and _rank_certificate(kept, pivots) is None:
+        rank = bareiss_rank(kept if len(kept) < n_rows else list(zip(*kept)))
     if rank > bound:
         raise ValueError(f"rank {rank} exceeds the claimed upper bound {upper}")
     return rank
@@ -180,15 +179,9 @@ def certified_rank(
 def integer_rank(rows: Sequence[Sequence[int]], upper: int | None = None) -> int:
     """Exact rank over the rationals of a built integer matrix; see certified_rank.
 
-    The rows are streamed as the columns of the transpose, which has the
-    same rank, so the echelon basis holds vectors of the row length. When
-    the rows are fewer than their length, a rank below the bound is proven
-    on the rows themselves, as for any stream of fewer vectors than their
-    length.
+    The rows go in as the columns of the transpose, which has the same rank.
     """
-    if not rows or not rows[0]:
-        return 0
-    return certified_rank(rows, (len(rows[0]), len(rows)), upper)
+    return certified_rank(rows, upper)
 
 
 def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:

@@ -16,12 +16,26 @@ from typing import Iterable, Iterator
 
 TateComponent = tuple[int, int]  # (dimension, tate index)
 
-# Largest Grassmannian table, in Gaussian-binomial coefficients l(n+1-l)+1,
-# that grassmann and config-homology build. Cost grows faster than the count,
+# Largest Gaussian binomial [m, l]_q, in coefficients l(m-l)+1, that
+# gaussian_binomial computes, and so the largest table grassmann and
+# config-homology build (m = n+1). Cost grows faster than the count,
 # since the coefficients also lengthen: 2.4 s and 73 MB at 49,730 (l = 223,
 # n = 445), 6.6 s and 137 MB at 90,301 (l = 300, n = 600). Larger tables raise
 # ValueError (exit 2 in the CLI) before any coefficient is computed.
 MAX_TABLE_COEFFICIENTS = 50_000
+
+# Largest projective dimension n that band, e1-page, stable-verify,
+# stable-range and gl-cohomology accept. Time and memory grow as n^3 to n^4:
+# at n = 64 each takes at most 0.7 s and 83 MB (e1-page), the general-linear
+# table alone takes 4 s and 110 MB at n = 100, and band --n 1100 passed 2 GB.
+# Every golden, acceptance and benchmark case has n <= 12. Larger n raise
+# ValueError (exit 2 in the CLI) instead of running for minutes.
+MAX_E1_DIMENSION = 64
+
+
+def check_e1_dimension(n: int) -> None:
+    if n > MAX_E1_DIMENSION:
+        raise ValueError(f"problem too large: n = {n} exceeds {MAX_E1_DIMENSION}")
 
 
 class GradedTateVector(dict):
@@ -77,6 +91,9 @@ def gaussian_binomial(m: int, l: int) -> tuple[int, ...]:
         raise ValueError(f"m must be nonnegative, got {m}")
     if l < 0 or l > m:
         return ()
+    count = l * (m - l) + 1
+    if count > MAX_TABLE_COEFFICIENTS:
+        raise ValueError(f"problem too large: {count} coefficients exceeds {MAX_TABLE_COEFFICIENTS}")
     coeffs = [1]
     for i in range(min(l, m - l)):
         up, down = m - i, i + 1
@@ -93,16 +110,12 @@ def shifted_grassmannian(l: int, n: int, degree: int, tate: int) -> GradedTateVe
     """The Gaussian binomial [n+1, l]_q as a table shifted by (degree, tate).
 
     The q^i coefficient lands in degree degree + 2i with Tate index tate + i.
-    Every table built from a Grassmannian goes through here, and so through
-    the MAX_TABLE_COEFFICIENTS guard.
+    Every table built from a Grassmannian goes through here.
     """
     if l < 0:
         raise ValueError(f"l must be nonnegative, got {l}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    count = l * (n + 1 - l) + 1
-    if count > MAX_TABLE_COEFFICIENTS:
-        raise ValueError(f"problem too large: {count} coefficients exceeds {MAX_TABLE_COEFFICIENTS}")
     return GradedTateVector.from_components(
         (degree + 2 * i, c, tate + i) for i, c in enumerate(gaussian_binomial(n + 1, l))
     )
@@ -140,6 +153,7 @@ def gl_cohomology(n: int) -> GradedTateVector:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    check_e1_dimension(n)
     # (degree, tate) -> coefficient of t^degree u^tate.
     product = {(0, 0): 1}
     for k in range(n + 1):

@@ -6,14 +6,15 @@ condition ranks are recomputed with sympy's own differentiation and rank,
 kernel bases come from sympy's nullspace, rank certificates are checked
 with sympy determinants and products, and point counts over prime fields
 come from the group-order formula or from enumerating matrices and forms,
-and the ranks of singularity conditions over a prime field from an
-elimination written here.
+signed counts of Frobenius-stable subsets from orbit counts by Moebius
+inversion, and the ranks of singularity conditions over a prime field from
+an elimination written here.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
 import sympy
 from sympy.polys.matrices import DomainMatrix
@@ -212,3 +213,51 @@ def count_nonsingular_binary_forms(d: int, p: int) -> int:
         derivative = [i * c % p for i, c in enumerate(g)][1:]
         count += len(_poly_gcd_mod(g, derivative, p)) == 1
     return count
+
+
+def projective_count(n: int, q: int) -> int:
+    """|P^n(F_q)| = 1 + q + ... + q^n."""
+    return sum(q**i for i in range(n + 1))
+
+
+def frobenius_orbit_counts(n: int, q: int, k_max: int) -> list[int]:
+    """M_k for k = 1..k_max: the number of size-k Frobenius orbits on P^n over F_q.
+
+    A point of P^n(F_{q^j}) lies in an orbit whose size k divides j, so
+    |P^n(F_{q^j})| = sum over k | j of k * M_k, inverted here by Moebius.
+    """
+
+    def mobius(m: int) -> int:
+        sign, p = 1, 2
+        while p * p <= m:
+            if m % p == 0:
+                m //= p
+                if m % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return -sign if m > 1 else sign
+
+    counts = []
+    for k in range(1, k_max + 1):
+        total = sum(mobius(k // j) * projective_count(n, q**j) for j in range(1, k + 1) if k % j == 0)
+        assert total % k == 0
+        counts.append(total // k)
+    return counts
+
+
+def signed_stable_subsets(l: int, n: int, q: int) -> int:
+    """Signed count of the Frobenius-stable l-subsets of P^n over F_q.
+
+    A stable subset is a union of Frobenius orbits, and Frobenius permutes
+    it with sign the product of (-1)^(k-1) over its size-k orbits. The count
+    is the coefficient of t^l in the product over k of
+    (1 + (-1)^(k-1) t^k)^(M_k), expanded binomially.
+    """
+    series = [1] + [0] * l
+    for k, orbits in enumerate(frobenius_orbit_counts(n, q, l), start=1):
+        factor = [0] * (l + 1)
+        for i in range(l // k + 1):
+            factor[i * k] = comb(orbits, i) * (-1) ** ((k - 1) * i)
+        series = [sum(series[a] * factor[b - a] for a in range(b + 1)) for b in range(l + 1)]
+    return series[l]

@@ -61,8 +61,7 @@ def condition_rows(d, cfg):
 
 def stream_rank(d, cfg):
     """The rank the column stream certifies, with no witness in front of it."""
-    shape = (cfg.count * (cfg.dimension + 1), comb(d + cfg.dimension, cfg.dimension))
-    return linalg.certified_rank(conditions._singularity_columns(d, cfg), shape)
+    return linalg.certified_rank(conditions._singularity_columns(d, cfg))
 
 
 def ordered_points(cfg):
@@ -515,8 +514,8 @@ def certificates(monkeypatch):
     issued = []
     certify = linalg._rank_certificate
 
-    def recording(columns, pivots, n_rows):
-        certificate = certify(columns, pivots, n_rows)
+    def recording(columns, pivots):
+        certificate = certify(columns, pivots)
         issued.append(([list(row) for row in zip(*columns)], certificate))
         return certificate
 
@@ -555,9 +554,19 @@ def test_golden_configuration_certificates_pass_the_oracle():
     for d in range(1, 8):
         columns = list(conditions._singularity_columns(d, cfg))
         pivots = linalg.modular_column_rank(columns, len(columns))
-        certificate = linalg._rank_certificate(columns, pivots, len(columns[0]))
+        certificate = linalg._rank_certificate(columns, pivots)
         rows = [list(row) for row in zip(*columns)]
         assert sympy_certified_rank(rows, *certificate[1:]) == len(pivots) == codimension(d, cfg)
+
+
+def test_full_column_rank_needs_no_certificate(certificates, bareiss_calls):
+    # x0^2 vanishes to order two at both points, so 5 columns are streamed for
+    # 6 rows. Rank 5 meets min(rows, columns read), which proves it exact.
+    cfg = PointConfiguration(2, ((0, 0, 1), (0, 1, 0)))
+    columns = list(conditions._singularity_columns(2, cfg))
+    assert len(columns) == 5 and {len(column) for column in columns} == {6}
+    assert codimension(2, cfg) == 5 == sympy_codimension(2, list(cfg.points))
+    assert certificates == [] and bareiss_calls == []
 
 
 # --- problem-size guard ---------------------------------------------------------

@@ -241,7 +241,6 @@ def test_general_linear_table_is_refused_above_the_same_dimension(monkeypatch):
         raise AssertionError("a table was built for an oversize dimension")
 
     monkeypatch.setattr(e1, "gl_cohomology", no_table)
-    monkeypatch.setattr(cli, "gl_cohomology", no_table)
     message = f"problem too large: n = {MAX_E1_DIMENSION + 1} exceeds {MAX_E1_DIMENSION}"
     with pytest.raises(ValueError, match=message):
         stable_range_report(5, MAX_E1_DIMENSION + 1)

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from stablecoh.tables import (
+    MAX_E1_DIMENSION,
     GradedTateVector,
     gaussian_binomial,
     gl_cohomology,
@@ -65,6 +66,16 @@ def test_gaussian_matches_q_pascal_recurrence():
                 out[i + l] += c
             row.append(tuple(out))
         assert [gaussian_binomial(m, l) for l in range(m + 1)] == row, m
+
+
+def test_oversize_gaussian_binomial_is_refused():
+    # [m, 1]_q = 1 + q + ... + q^(m-1) has m coefficients: the guard's edge.
+    assert gaussian_binomial(50_000, 1) == (1,) * 50_000
+    with pytest.raises(ValueError, match="problem too large: 50001 coefficients exceeds 50000"):
+        gaussian_binomial(50_001, 1)
+    # The grassmann-too-large case, called from Python: 224 * 224 + 1 coefficients.
+    with pytest.raises(ValueError, match="problem too large: 50177 coefficients exceeds 50000"):
+        gaussian_binomial(448, 224)
 
 
 # --- graded Tate tables -----------------------------------------------------------
@@ -194,6 +205,13 @@ def test_gl_top_degree_and_total():
         assert list(table) == sorted(table) and max(table) == top
         assert table[top] == ((1, -(n + 1) * (n + 2) // 2),)
         assert total_dimension(table) == 2 ** (n + 1)
+
+
+def test_oversize_general_linear_table_is_refused():
+    message = f"problem too large: n = {MAX_E1_DIMENSION + 1} exceeds {MAX_E1_DIMENSION}"
+    assert message == "problem too large: n = 65 exceeds 64"
+    with pytest.raises(ValueError, match=message):
+        gl_cohomology(MAX_E1_DIMENSION + 1)
 
 
 def test_gl5_mixes_weights_in_degree_nine():

@@ -3,16 +3,31 @@
 A table entry of Tate index m stands for Q(m). By Poincare duality and the
 Grothendieck-Lefschetz trace formula, a smooth variety of dimension D whose
 cohomology has such a table has q^D * sum (-1)^deg * dim * q^tate points
-over F_q. This checks the Tate twists, which the weight law only compares
-with each other, against counts that share no code with the library.
+over F_q. A Borel-Moore table needs no q^D: its trace is the point count
+itself, signed by the Frobenius permutation for the sign-twisted
+configuration tables. This checks the Tate twists, which the weight law
+only compares with each other, against counts that share no code with the
+library.
 """
+
+from math import comb
 
 import pytest
 
-from stablecoh.e1 import stable_range_report
-from stablecoh.tables import gl_cohomology
+from stablecoh.e1 import stable_range_report, stratum_bm
+from stablecoh.tables import gl_cohomology, twisted_config_bm
 
-from oracles import count_invertible_matrices, count_nonsingular_binary_forms, gl_order
+from oracles import (
+    count_invertible_matrices,
+    count_nonsingular_binary_forms,
+    gl_order,
+    signed_stable_subsets,
+)
+
+
+def trace(table, q):
+    """sum (-1)^deg * dim * q^tate over the table's components."""
+    return sum((-1) ** degree * dim * q**tate for degree, dim, tate in table.iter_components())
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -46,3 +61,26 @@ def test_stable_range_trace_counts_nonsingular_binary_forms(d, q, count):
     )
     assert count_nonsingular_binary_forms(d, q) == count
     assert trace == count
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_configuration_trace_is_the_signed_count_of_stable_subsets(q):
+    # Each Frobenius-stable l-subset of P^n counts with the sign of the
+    # permutation Frobenius induces on it (Vakil and Wood, Duke 2015).
+    for n in range(1, 4):
+        for l in range(1, n + 2):
+            assert trace(twisted_config_bm(l, n), q) == signed_stable_subsets(l, n, q), (l, n)
+        # Vassiliev's vanishing: the sign-twisted table is zero above n+1 points.
+        for l in range(n + 2, n + 4):
+            assert signed_stable_subsets(l, n, q) == 0, (l, n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_e1_column_traces_count_the_singular_forms(q):
+    # Columns 1..n+1 together carry the trace of the forms singular at some
+    # point: all q^c forms less the nonsingular ones, q^(c-(n+1)^2)|GL_{n+1}|.
+    for n in range(1, 6):
+        for d in (3, 4, 7):
+            c = comb(d + n, n)
+            columns = sum(trace(stratum_bm(d, n, l), q) for l in range(1, n + 2))
+            assert columns == q**c - q ** (c - (n + 1) ** 2) * gl_order(n + 1, q), (n, d)
