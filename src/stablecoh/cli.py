@@ -7,7 +7,11 @@ Every report embeds the parameters, the effective seed, and the library
 version; JSON output is byte-identical for identical (subcommand, flags,
 seed) regardless of --jobs, because trial seeds are derived up front and
 aggregation is order-independent. Exit codes are the machine contract: 0
-computed/verified, 1 falsified or unverified, 2 usage error.
+computed/verified, 1 falsified or unverified, 2 usage error. `main` returns
+the code and never ends the process; `entrypoint`, which `python -m
+stablecoh` and the `stablecoh` script run, flushes the report and exits with
+it, skipping interpreter teardown. A report that cannot be flushed (a closed
+pipe) exits 120 through the normal shutdown instead.
 """
 
 from __future__ import annotations
@@ -462,17 +466,24 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser; given a command, only that subparser gets its flags."""
+    """The argument parser; given a command, it has only that subparser.
+
+    A one-command parser names every command in its usage line through the
+    metavar, as the full parser does through its choices. The full parser
+    sets none: argparse would print it in place of "command" in the
+    invalid-choice and missing-command errors.
+    """
     parser = argparse.ArgumentParser(
         prog="stablecoh",
         description="Exact verification runs for discriminant-complement bookkeeping.",
     )
     parser.add_argument("--version", action="version", version=f"stablecoh {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (_, help_text, flags, seeded) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
         if command not in (None, name):
             continue
+        p = sub.add_parser(name, help=help_text)
         for flag, options in flags:
             p.add_argument(flag, **options)
         p.add_argument("--format", choices=("json", "csv", "table"), default="table")
@@ -508,7 +519,20 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run main() as a process: flush the streams, then exit without teardown.
+
+    The report is complete once the streams are flushed: a worker pool is
+    joined and --output closed before main() returns, so the final garbage
+    collection and module clearing would only cost time. If a flush fails (a
+    closed pipe), the normal shutdown reports it as before, with exit 120.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

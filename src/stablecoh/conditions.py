@@ -262,6 +262,23 @@ def hilbert_function(d: int, config: PointConfiguration, mode: str = "symbolic")
 # --- randomized verification -------------------------------------------------
 
 
+# Most trials verify_codim_lemma and general_position_bound accept. Every
+# trial's seed, arguments and outcome are held until the report is built:
+# verify-lemma 15/3/8 --format json grows by about 2.5 KB a trial, and took
+# 17 s and 65 MB peak RSS at 20,000 trials with --jobs 1 (Python 3.11, 2
+# vCPUs), so the limit costs about 270 MB and 85 s there. Every golden,
+# benchmark and roadmap figure uses at most 2,000 trials. More raise
+# ValueError (exit 2 in the CLI) before any seed is derived.
+MAX_TRIALS = 100_000
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"problem too large: {trials} trials exceeds {MAX_TRIALS}")
+
+
 def derive_trial_seeds(seed: int, trials: int) -> list[int]:
     """Per-trial seeds drawn once from the master seed.
 
@@ -324,8 +341,7 @@ def verify_codim_lemma(
     where the codimension must drop below N(n+1), and records how the exact
     value compares with the collinear ceiling N(n-1) + d + 1.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     d, n, N = params.d, params.n, params.N
     expected = params.expected_codimension
     args_list = [(d, n, N, s) for s in derive_trial_seeds(seed, trials)]
@@ -441,8 +457,7 @@ def general_position_bound(
     the smallest d <= d_max at which all of them give codimension N(n+1).
     One-sided: a larger trial count can only push the estimate up.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
     args_list = [(n, N, d_max, s) for s in derive_trial_seeds(seed, trials)]

@@ -123,6 +123,36 @@ def test_exit_two_on_usage_error(capsys):
     assert exc.value.code == 2
 
 
+# argparse's own errors at the top level, byte for byte. main builds one
+# subparser when argv names a command, all of them otherwise; both print this
+# usage line. COLUMNS fixes where argparse wraps it.
+TOP_USAGE = (
+    "usage: stablecoh [-h] [--version]\n"
+    "                 {codim,verify-lemma,hilbert,regularity,d0-scan,grassmann,"
+    "config-homology,gl-cohomology,e1-page,stable-verify,band,stable-range}\n"
+    "                 ...\n"
+)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["nosuch"], "argument command: invalid choice: 'nosuch' (choose from 'codim', "
+                 "'verify-lemma', 'hilbert', 'regularity', 'd0-scan', 'grassmann', "
+                 "'config-homology', 'gl-cohomology', 'e1-page', 'stable-verify', 'band', "
+                 "'stable-range')"),
+    ([], "the following arguments are required: command"),
+    (["codim", "--d", "3", "--n", "1", "--N", "2", "--bogus"],
+     "unrecognized arguments: --bogus"),
+], ids=["unknown-command", "no-command", "unknown-flag"])
+def test_top_level_usage_errors(argv, message, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == TOP_USAGE + f"stablecoh: error: {message}\n"
+
+
 # The golden set pins `regularity --N 0` and `d0-scan --n 0` byte for byte.
 @pytest.mark.parametrize("argv", [
     ["codim", "--d", "3", "--n", "0", "--N", "3"],

@@ -808,6 +808,25 @@ def test_pool_size_is_clamped_to_tasks_and_cpus(monkeypatch, pool_sizes):
     assert pool_sizes == [2, 3]
 
 
+def test_trial_counts_above_the_limit_are_refused_before_any_seed(monkeypatch):
+    class Derived(Exception):
+        pass
+
+    def derive(seed, trials):
+        raise Derived(trials)
+
+    monkeypatch.setattr(conditions, "derive_trial_seeds", derive)
+    limit = conditions.MAX_TRIALS
+    runs = (lambda trials: verify_codim_lemma(ParameterTriple(3, 1, 2), trials, seed=0),
+            lambda trials: general_position_bound(1, 2, trials, seed=0, d_max=3))
+    for run in runs:
+        with pytest.raises(ValueError, match=f"^problem too large: {limit + 1} trials "
+                                             f"exceeds {limit}$"):
+            run(limit + 1)
+        with pytest.raises(Derived):  # the limit itself gets as far as its seeds
+            run(limit)
+
+
 # --- scans -----------------------------------------------------------------------
 
 

@@ -79,6 +79,9 @@ USAGE_ERRORS = {
     "stable-range-too-large": ["stable-range", "--d", "200001", "--n", "1"],
     # 50,177 Gaussian-binomial coefficients: refused before any is computed.
     "grassmann-too-large": ["grassmann", "--l", "224", "--n", "447"],
+    # Above conditions.MAX_TRIALS: refused before any trial seed is derived.
+    "trials-too-large": ["verify-lemma", "--d", "3", "--n", "1", "--N", "2",
+                         "--trials", "100001"],
     # Refused before the report is computed.
     "output-unwritable": ["grassmann", "--l", "2", "--n", "3",
                           "--output", "/nonexistent/dir/r.json"],
