@@ -10,8 +10,8 @@ aggregation is order-independent. Exit codes are the machine contract: 0
 computed/verified, 1 falsified or unverified, 2 usage error. `main` returns
 the code and never ends the process; `entrypoint`, which `python -m
 stablecoh` and the `stablecoh` script run, flushes the report and exits with
-it, skipping interpreter teardown. A report that cannot be flushed (a closed
-pipe) exits 120 through the normal shutdown instead.
+it, skipping interpreter teardown. A report that meets a closed pipe, in its
+write or its flush, exits 120 through the normal shutdown instead.
 """
 
 from __future__ import annotations
@@ -523,10 +523,14 @@ def entrypoint() -> None:
 
     The report is complete once the streams are flushed: a worker pool is
     joined and --output closed before main() returns, so the final garbage
-    collection and module clearing would only cost time. If a flush fails (a
-    closed pipe), the normal shutdown reports it as before, with exit 120.
+    collection and module clearing would only cost time. A closed pipe, met
+    by the flush or, for a report larger than the stdout buffer, by emit's
+    write, ends the process through the normal shutdown with exit 120.
     """
-    code = main()
+    try:
+        code = main()
+    except BrokenPipeError:
+        sys.exit(120)
     try:
         sys.stdout.flush()
         sys.stderr.flush()

@@ -1,15 +1,16 @@
 """Singularity conditions at point configurations, in exact arithmetic.
 
 Requiring a degree-d form to be singular at a point imposes n+1 linear
-conditions (one per partial derivative). Their rank has three engines: for
-d >= 2N-1, the block-diagonal conditions of the lemma's witness forms;
-otherwise, or if a witness block fails, a stream of the nonzero condition
-columns into a rank certified mod p, each built when the rank reads it;
-and Bareiss elimination when that certificate fails. This module also
-compares the two degreewise squares of a point ideal (products of ideal
-elements versus order-two vanishing), and packages the randomized
-verification of the codimension stabilization at degree 2N-1 together
-with the collinear sharpness probe.
+conditions (one per partial derivative). Points with common zero
+coordinates first split their rank into blocks on a smaller projective
+space. The blocks have three engines: for d >= 2N-1, the block-diagonal
+conditions of the lemma's witness forms; otherwise, or if a witness block
+fails, a stream of the nonzero condition columns into a rank certified mod
+p, each built when the rank reads it; and Bareiss elimination when that
+certificate fails. This module also compares the two degreewise squares of
+a point ideal (products of ideal elements versus order-two vanishing), and
+packages the randomized verification of the codimension stabilization at
+degree 2N-1 together with the collinear sharpness probe.
 """
 
 from __future__ import annotations
@@ -66,15 +67,6 @@ def _monomial_values(point: tuple[int, ...], e: int, n: int) -> list[int]:
     return [prod(map(getitem, pows, exps)) for exps in enumerate_monomials(e, n)]
 
 
-def _monomials_on(d: int, coords: list[int], n: int) -> Iterator[tuple[int, ...]]:
-    """The degree-d monomials in the variables x_i, i in coords, as (n+1)-tuples."""
-    for exps in enumerate_monomials(d, len(coords) - 1):
-        e = [0] * (n + 1)
-        for i, k in zip(coords, exps):
-            e[i] = k
-        yield tuple(e)
-
-
 def _singularity_columns(d: int, config: PointConfiguration) -> Iterator[list[int]]:
     """The nonzero columns of the singularity conditions, each built when it is read.
 
@@ -83,29 +75,23 @@ def _singularity_columns(d: int, config: PointConfiguration) -> Iterator[list[in
     rank is the codimension of the forms vanishing to order >= 2 at every
     point. The coordinates are permuted alike at every point, those zero at
     the fewest points first: an automorphism of P^n, which keeps the rank.
-    Column e is nonzero exactly when e has degree <= 1 on the coordinates Z
-    vanishing at some point, so when every point has a zero coordinate only
-    those monomials are enumerated, per zero set Z: the degree-d ones off Z
-    and x_z times the degree-(d-1) ones off Z, for each z in Z. Each
-    degree-(d-1) value is computed at every point when a column first reads it.
+    Column e is nonzero exactly when e has degree <= 1 on the coordinates
+    vanishing at some point; one walk over the degree-d monomials skips the
+    zero columns. Each degree-(d-1) value is computed at every point when a
+    column first reads it.
     """
     n = config.dimension
     order = sorted(range(n + 1), key=lambda i: sum(not p[i] for p in config.integer_points))
     points = [[p[i] for i in order] for p in config.integer_points]
     zero_sets = {tuple(i for i, c in enumerate(p) if not c) for p in points}
     if () in zero_sets:  # a point with no zero coordinate: no column is zero
-        candidates = enumerate_monomials(d, n)
-    else:
-        kept = set()
-        for z in zero_sets:
-            free = [i for i in range(n + 1) if i not in z]
-            kept.update(_monomials_on(d, free, n))
-            kept.update(e[:i] + (1,) + e[i + 1:] for e in _monomials_on(d - 1, free, n) for i in z)
-        candidates = sorted(kept, reverse=True)  # graded-lex order
+        zero_sets = set()
     pows = [[[c**k for k in range(d)] for c in p] for p in points]
     values: dict[tuple[int, ...], list[int]] = {}  # lower monomial -> values at the points
     no_partial = [0] * len(points)  # scaled by e_i = 0 where x_i is absent from e
-    for e in candidates:
+    for e in enumerate_monomials(d, n):
+        if zero_sets and all(sum(e[i] for i in z) > 1 for z in zero_sets):
+            continue
         partials = []
         for i, k in enumerate(e):
             f = e[:i] + (k - 1,) + e[i + 1:]
@@ -158,20 +144,29 @@ def _witness_blocks(d: int, config: PointConfiguration) -> list[list[list[int]]]
 def codimension(d: int, config: PointConfiguration) -> int:
     """Number of independent conditions the singularities impose in degree d.
 
-    A size guard counting every column, zero or not, comes first. For
-    d >= 2N-1 the witness forms x_j * K_a (see _witness_blocks) have
-    block-diagonal conditions; full certified rank on every block proves
-    rank N(n+1), the row count. Otherwise the nonzero columns are streamed
-    and certified mod p: about N(n+1) of them at full row rank, every one
-    when the rank is below both the row count and the number of nonzero
-    columns, as for the collinear probe at degree 2N-2. There the pivot
-    minor and an exact left kernel prove the rank from both sides, and only
-    if that check fails does Bareiss decide on the kept columns.
+    A size guard counting every column, zero or not, comes first. If every
+    point lies in V(x_z : z in Z), the conditions are block diagonal by
+    support: the monomials free of Z give the same problem on P^(n-|Z|),
+    with Z dropped, and for each z in Z the monomials x_z * m give the
+    evaluation matrix there at degree d-1. The dropped points have no common
+    zero. For d >= 2N-1, full certified rank on every block of the witness
+    forms x_j * K_a (see _witness_blocks) proves rank N(n+1), the row count.
+    Otherwise the nonzero columns are streamed and certified mod p: about
+    N(n+1) of them at full row rank, and every one when the rank is below
+    both the row count and the number of nonzero columns; there the pivot
+    minor and an exact left kernel prove the rank, or else Bareiss decides.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    rows = config.count * (config.dimension + 1)
-    _check_size(rows, coefficient_space_dim(d, config.dimension))
+    n = config.dimension
+    rows = config.count * (n + 1)
+    _check_size(rows, coefficient_space_dim(d, n))
+    support = [i for i in range(n + 1) if any(p[i] for p in config.integer_points)]
+    if len(support) <= n:
+        dropped = PointConfiguration(len(support) - 1, tuple(
+            tuple(p[i] for i in support) for p in config.integer_points))
+        values = evaluation_matrix(d - 1, dropped).entries
+        return codimension(d, dropped) + (n + 1 - len(support)) * certified_rank(values)
     if d >= 2 * config.count - 1:
         blocks = _witness_blocks(d, config)
         if blocks is not None and all(certified_rank(b) == len(b) for b in blocks):

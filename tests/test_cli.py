@@ -11,9 +11,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from stablecoh import cli
+from stablecoh import cli, conditions
 from stablecoh.cli import COMMANDS, SEED_ENV_VAR, build_parser, main
 from stablecoh.tables import GradedTateVector, gl_cohomology
+
+from test_conditions import UNSTABLE_SCANS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -88,6 +90,18 @@ def test_exit_one_on_scan_failure(capsys, validator):
     doc = json.loads(out)
     validator.validate(doc)
     assert "error" in doc["report"]
+
+
+@pytest.mark.parametrize("fake, message", UNSTABLE_SCANS.values(), ids=UNSTABLE_SCANS)
+def test_exit_one_when_the_regularity_scan_gives_up(fake, message, capsys, validator, monkeypatch):
+    monkeypatch.setattr(conditions, "codimension", fake)
+    points = [["1", "0"], ["0", "1"]]
+    code, out = run_cli(capsys, ["regularity", "--points", json.dumps(points), "--d-max", "6",
+                                 "--format", "json"])
+    assert code == 1
+    doc = json.loads(out)
+    validator.validate(doc)
+    assert doc["report"] == {"n": 1, "N": 2, "points": points, "d_max": 6, "error": message}
 
 
 def test_hilbert_reports_both_squares(capsys):

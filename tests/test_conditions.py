@@ -1,6 +1,7 @@
 """Singularity conditions: matrices, codimensions, squares, scans."""
 
 import random
+import types
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
@@ -385,9 +386,9 @@ def test_each_point_is_evaluated_once(columns_read, bareiss_calls, products):
     assert bareiss_calls == []
 
 
-def test_zero_heavy_stream_never_enumerates_the_whole_basis(monkeypatch):
-    # Every point of the probe has a zero coordinate, so the stream builds its
-    # columns from the monomials on the coordinates off each zero set.
+def test_zero_heavy_codimension_never_enumerates_the_whole_basis(monkeypatch, columns_read):
+    # The probe lies in V(x2, x3, x4), so codimension splits it onto its line:
+    # the 23 degree-22 columns there, and the degree-21 values on the line.
     enumerate_all = conditions.enumerate_monomials
 
     def refuse_whole_basis(d, n):
@@ -395,9 +396,77 @@ def test_zero_heavy_stream_never_enumerates_the_whole_basis(monkeypatch):
         return enumerate_all(d, n)
 
     monkeypatch.setattr(conditions, "enumerate_monomials", refuse_whole_basis)
-    cfg = collinear_configuration(4, 12)
-    assert len(list(conditions._singularity_columns(22, cfg))) == 89
-    assert stream_rank(22, cfg) == 59
+    assert codimension(22, collinear_configuration(4, 12)) == 59
+    assert columns_read == [23]
+
+
+# --- the split along common zero coordinates ------------------------------------
+
+
+# Points of P^4 in V(x_z : z in Z) for |Z| = 1, 2 and 3, with zeros elsewhere
+# that no other coordinate shares at every point.
+SUBSPACE_CONFIGS = [
+    PointConfiguration(4, ((1, 2, 0, 3, 5), (2, 0, 0, 1, 1), (0, 3, 0, 1, 2))),
+    PointConfiguration(4, ((0, 1, 2, 0, 3), (0, 2, 0, 0, 1), (0, 1, 1, 0, 0))),
+    PointConfiguration(4, ((1, 0, 0, 2, 0), (3, 0, 0, 1, 0), (1, 0, 0, 1, 0))),
+]
+
+# The collinear probes (d, n, N) of the benchmark rungs and of two larger sizes.
+PROBES = [(14, 3, 8), (10, 4, 6), (22, 2, 12), (22, 4, 12), (26, 4, 14)]
+
+
+@pytest.fixture(scope="module")
+def split_oracle():
+    """(d, configuration, rank): sympy's rank of the nonzero partials, or the probes' line bound."""
+    cases = list(ZERO_HEAVY)
+    cases += [(d, coordinate_configuration(n, N))
+              for n in range(1, 5) for N in range(1, n + 2) for d in range(1, 2 * N + 2)]
+    cases += [(d, cfg) for cfg in SUBSPACE_CONFIGS for d in range(1, 2 * cfg.count + 2)]
+    oracle = []
+    for d, cfg in cases:
+        nonzero = [column for _, column in partial_columns(d, cfg) if any(column)]
+        oracle.append((d, cfg, sympy_rank(list(zip(*nonzero)))))
+    return oracle + [(d, collinear_configuration(n, N), N * (n - 1) + d + 1) for d, n, N in PROBES]
+
+
+def test_split_matches_the_stream_and_sympy(split_oracle):
+    common_zeros = [[z for z in range(5) if not any(p[z] for p in cfg.integer_points)]
+                    for cfg in SUBSPACE_CONFIGS]
+    assert common_zeros == [[2], [0, 3], [1, 2, 4]]
+    for d, cfg, rank in split_oracle:
+        assert codimension(d, cfg) == stream_rank(d, cfg) == rank, (d, cfg)
+
+
+@pytest.mark.parametrize("d, n, N", PROBES)
+def test_collinear_probe_splits_into_full_rank_blocks(d, n, N, columns_read, certificates,
+                                                      bareiss_calls):
+    # 2N - 1 columns of full rank on the line, then n - 1 evaluation blocks of rank N.
+    assert codimension(d, collinear_configuration(n, N)) == (2 * N - 1) + (n - 1) * N
+    assert columns_read == [2 * N - 1]
+    assert certificates == [] and bareiss_calls == []
+
+
+def mutant_conditions(old, new):
+    """The conditions module with one source edit, loaded under another name."""
+    source = Path(conditions.__file__).read_text(encoding="utf-8")
+    assert source.count(old) == 1, old
+    mutant = types.ModuleType("stablecoh.conditions_mutant")
+    mutant.__package__ = "stablecoh"
+    exec(compile(source.replace(old, new), conditions.__file__, "exec"), mutant.__dict__)
+    return mutant
+
+
+SPLIT_MUTATIONS = {
+    "without-the-Z-factor": ("(n + 1 - len(support)) * certified_rank", "certified_rank"),
+    "evaluation-at-degree-d": ("evaluation_matrix(d - 1, dropped)", "evaluation_matrix(d, dropped)"),
+}
+
+
+@pytest.mark.parametrize("old, new", SPLIT_MUTATIONS.values(), ids=SPLIT_MUTATIONS)
+def test_split_mutants_fail_the_oracle(old, new, split_oracle):
+    mutant = mutant_conditions(old, new)
+    assert mutant.codimension(3, random_configuration(2, 2, random.Random(0))) == 6
+    assert any(mutant.codimension(d, cfg) != rank for d, cfg, rank in split_oracle)
 
 
 # --- the lemma's witness ---------------------------------------------------------
@@ -422,10 +491,13 @@ def test_witness_agrees_with_the_stream(columns_read):
 
 
 @pytest.mark.parametrize("d, n, N", LEMMA_SIZES + [(23, 4, 12)])
-def test_sampled_lemma_trials_never_fall_back(d, n, N, columns_read):
+def test_sampled_lemma_trials_never_fall_back(d, n, N, columns_read, certificates, bareiss_calls):
     report = verify_codim_lemma(ParameterTriple(d, n, N), trials=4, seed=9)
     assert report.verified and set(report.codimensions) == {N * (n + 1)}
-    assert len(columns_read) == 1  # the collinear probe at 2N-2 only
+    # Only the collinear probe at 2N-2 streams, on its line, where its 2N-1
+    # columns have full rank: no rank needs a certificate or Bareiss.
+    assert columns_read == [2 * N - 1]
+    assert certificates == [] and bareiss_calls == []
 
 
 def test_witness_certifies_points_equal_mod_p(columns_read, bareiss_calls):
@@ -523,9 +595,8 @@ def certificates(monkeypatch):
     return issued
 
 
-def check_issued_certificate(d, cfg, certificates, bareiss_calls):
-    """The one certificate codimension issued passes the sympy oracle, without Bareiss."""
-    value = codimension(d, cfg)
+def check_issued_certificate(value, certificates, bareiss_calls):
+    """The one certificate issued for this rank passes the sympy oracle, without Bareiss."""
     [(rows, certificate)] = certificates
     assert certificate is not None and bareiss_calls == []
     assert sympy_certified_rank(rows, *certificate[1:]) == value
@@ -534,16 +605,18 @@ def check_issued_certificate(d, cfg, certificates, bareiss_calls):
 
 @pytest.mark.parametrize("d, n, N", [(14, 3, 8), (10, 4, 6), (22, 2, 12)])
 def test_collinear_probe_certificates_pass_the_oracle(d, n, N, certificates, bareiss_calls):
-    # The sharpness probes of the benchmark rungs: rank N(n+1) - 1 at degree 2N-2.
-    cfg = collinear_configuration(n, N)
-    assert check_issued_certificate(d, cfg, certificates, bareiss_calls) == N * (n + 1) - 1
+    # The sharpness probes of the benchmark rungs, streamed whole in P^n (codimension
+    # splits them onto their line instead): rank N(n+1) - 1 at degree 2N-2.
+    value = stream_rank(d, collinear_configuration(n, N))
+    assert check_issued_certificate(value, certificates, bareiss_calls) == N * (n + 1) - 1
 
 
 def test_sporadic_certificates_pass_the_oracle(certificates, bareiss_calls):
     cases = {(n, d, N): cfg for n, d, N, cfg in alexander_hirschowitz_cases()}
     for n, d, N in sorted(SPORADIC):
         certificates.clear()
-        value = check_issued_certificate(d, cases[n, d, N], certificates, bareiss_calls)
+        value = check_issued_certificate(codimension(d, cases[n, d, N]), certificates,
+                                         bareiss_calls)
         assert value == min(N * (n + 1), comb(d + n, n)) - 1, (n, d, N)
 
 
@@ -847,6 +920,24 @@ def test_regularity_scan_profile_values():
 def test_regularity_scan_requires_room():
     with pytest.raises(ValueError):
         regularity_profile(p1_pair(), 3)
+
+
+# Stand-ins for codimension at two points of P^1 (target 4, bound 2N-1 = 3)
+# that the lemma rules out, so only a fake reaches regularity_profile's errors.
+UNSTABLE_SCANS = {
+    "unstable-at-d-max": (lambda d, config: 3,
+                          "symbolic Hilbert value at degree 6 is 3, expected 4"),
+    "onset-above-the-bound": (lambda d, config: 4 if d >= 4 else 3,
+                              "stabilization only from degree 4, above the bound 3"),
+}
+
+
+@pytest.mark.parametrize("fake, message", UNSTABLE_SCANS.values(), ids=UNSTABLE_SCANS)
+def test_regularity_scan_refuses_an_unstable_profile(fake, message, monkeypatch):
+    monkeypatch.setattr(conditions, "codimension", fake)
+    with pytest.raises(StabilizationError) as raised:
+        regularity_profile(p1_pair(), 6)
+    assert str(raised.value) == message
 
 
 def test_general_position_bound_examples():

@@ -5,6 +5,7 @@ teardown. Each test runs a fresh interpreter with PYTHONUNBUFFERED removed,
 so a report left in the stdout buffer at exit would be lost and show here.
 """
 
+import io
 import json
 import os
 import subprocess
@@ -95,3 +96,18 @@ def test_closed_stdout_pipe_exits_120_through_the_normal_shutdown():
         b"Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>\n"
         b"BrokenPipeError: [Errno 32] Broken pipe\n"
     )
+
+
+def test_closed_stdout_pipe_exits_120_on_a_report_larger_than_the_buffer():
+    args = ("gl-cohomology", "--n", "14", "--format", "json", "--jobs", "1")
+    assert len(run_module(*args).stdout) > 4 * io.DEFAULT_BUFFER_SIZE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        # The report outgrows the buffer, so emit's write meets the closed pipe.
+        result = run_module(*args, stdout=write_end, stderr=subprocess.PIPE,
+                            capture_output=False)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 120
+    assert b"Traceback" not in result.stderr
