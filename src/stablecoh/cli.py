@@ -53,10 +53,6 @@ from .tables import gl_cohomology, grassmannian_poincare, twisted_config_bm
 SEED_ENV_VAR = "STABLECOH_SEED"
 
 
-class UsageError(Exception):
-    """Invalid invocation detected after argparse; maps to exit code 2."""
-
-
 class Report(NamedTuple):
     """One subcommand's outcome: the JSON payload, CSV rows and table lines.
 
@@ -78,16 +74,16 @@ def resolve_seed(flag_value: int | None) -> tuple[int, str]:
     """
     if flag_value is not None:
         if flag_value < 0:
-            raise UsageError(f"--seed must be nonnegative, got {flag_value}")
+            raise ValueError(f"--seed must be nonnegative, got {flag_value}")
         return flag_value, "flag"
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
             seed = int(env)
         except ValueError:
-            raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
         if seed < 0:
-            raise UsageError(f"{SEED_ENV_VAR} must be nonnegative, got {seed}")
+            raise ValueError(f"{SEED_ENV_VAR} must be nonnegative, got {seed}")
         return seed, "env"
     return 0, "default"
 
@@ -99,9 +95,9 @@ def load_configuration(args, seed: int) -> PointConfiguration:
     """
     if args.points is None:
         if args.N is None:
-            raise UsageError("either --points or --N is required")
+            raise ValueError("either --points or --N is required")
         if args.n is None:
-            raise UsageError("--n is required when sampling points")
+            raise ValueError("--n is required when sampling points")
         check_dimension_and_count(args.n, args.N)
         return random_configuration(args.n, args.N, random.Random(seed))
     text = args.points
@@ -110,12 +106,12 @@ def load_configuration(args, seed: int) -> PointConfiguration:
             with open(args.points, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise UsageError(f"cannot read points file: {exc}") from None
+            raise ValueError(f"cannot read points file: {exc}") from None
     config = parse_points_json(text)
     if args.n is not None and args.n != config.dimension:
-        raise UsageError(f"--n {args.n} does not match points of dimension {config.dimension}")
+        raise ValueError(f"--n {args.n} does not match points of dimension {config.dimension}")
     if args.N is not None and args.N != config.count:
-        raise UsageError(f"--N {args.N} does not match the {config.count} points given")
+        raise ValueError(f"--N {args.N} does not match the {config.count} points given")
     return config
 
 
@@ -125,7 +121,7 @@ def _check_output(path: str) -> None:
     try:
         open(path, "a").close()
     except OSError as exc:
-        raise UsageError(f"cannot write report: {exc}") from None
+        raise ValueError(f"cannot write report: {exc}") from None
     if not existed:
         os.remove(path)
 
@@ -160,7 +156,7 @@ def emit(args, seed: int, seed_source: str, report: Report) -> None:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write report: {exc}") from None
+            raise ValueError(f"cannot write report: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -503,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         if args.jobs < 1:
-            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         seed, seed_source = resolve_seed(getattr(args, "seed", None))
         if args.output:
             _check_output(args.output)
@@ -513,7 +509,7 @@ def main(argv: list[str] | None = None) -> int:
     except SamplingError as exc:
         print(f"stablecoh: sampling failure: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, ValueError) as exc:  # PointsParseError is a ValueError
+    except ValueError as exc:  # PointsParseError is a ValueError
         print(f"stablecoh: error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import os
 import random
 import sys
+from bisect import bisect_left
+from functools import cache
 from math import prod
 from operator import add, getitem, mul
 from typing import Iterator, NamedTuple
@@ -385,16 +387,36 @@ def verify_codim_lemma(
 
 
 class RegularityScan(NamedTuple):
-    """Symbolic Hilbert values near the top of a stabilization scan."""
+    """Symbolic Hilbert values from the degree below the onset of N(n+1) to d_max."""
 
     stabilization_degree: int
     target: int
-    values: dict[int, int]  # degrees probed by the downward scan
+    values: dict[int, int]  # read at d_max, the onset and below it; N(n+1) between by _onset
+
+
+def _onset(config: PointConfiguration, d_max: int, h) -> int | None:
+    """Least d <= d_max with h(d) = codimension(d, config) = N(n+1), or None.
+
+    h is the Hilbert function of the double-point scheme: it never decreases in d,
+    never exceeds N(n+1) (Eisenbud, GTM 229) and is short below lo, the least d
+    with C(d+n, n) >= N(n+1). A gallop lo, lo+1, lo+3, lo+7, ... to a full degree,
+    then a bisection back over the last gap, reads no degree above twice the onset.
+    """
+    full = config.count * (config.dimension + 1)
+    lo = bisect_left(range(full), full, key=lambda d: coefficient_space_dim(d, config.dimension))
+    below, step = lo - 1, 1
+    while below < d_max:
+        d = min(lo - 1 + step, d_max)
+        if h(d) == full:
+            return below + 1 + bisect_left(range(below + 1, d), True, key=lambda e: h(e) == full)
+        below, step = d, 2 * step
+    return None
 
 
 def regularity_profile(config: PointConfiguration, d_max: int) -> RegularityScan:
-    """Scan downward from d_max for the onset of the stable value N(n+1).
+    """The onset of N(n+1), read at d_max, at _onset's probes and at the degree below it.
 
+    The degrees from the onset to d_max hold N(n+1) by _onset's argument.
     Raises StabilizationError if the value at d_max is not yet stable or if
     the onset lands above 2N-1 (either would contradict the degree bound).
     """
@@ -402,39 +424,24 @@ def regularity_profile(config: PointConfiguration, d_max: int) -> RegularityScan
     if d_max < 2 * N:
         raise ValueError(f"d_max must be >= 2N = {2 * N}, got {d_max}")
     target = N * (config.dimension + 1)
-    values: dict[int, int] = {}
-    d = d_max
-    while d >= 1:
-        values[d] = codimension(d, config)
-        if values[d] != target:
-            break
-        d -= 1
-    first_stable = d + 1
-    if first_stable > d_max:
-        raise StabilizationError(
-            f"symbolic Hilbert value at degree {d_max} is {values[d_max]}, "
-            f"expected {target}"
-        )
-    if first_stable > 2 * N - 1:
-        raise StabilizationError(
-            f"stabilization only from degree {first_stable}, above the bound {2 * N - 1}"
-        )
+    h = cache(lambda d: codimension(d, config))
+    if h(d_max) != target:
+        raise StabilizationError(f"symbolic Hilbert value at degree {d_max} is {h(d_max)}, "
+                                 f"expected {target}")
+    onset = _onset(config, d_max, h)
+    if onset > (bound := 2 * N - 1):
+        raise StabilizationError(f"stabilization only from degree {onset}, above the bound {bound}")
     return RegularityScan(
-        stabilization_degree=first_stable,
+        stabilization_degree=onset,
         target=target,
-        values=dict(sorted(values.items())),
+        values={d: h(d) if d < onset else target for d in range(max(onset - 1, 1), d_max + 1)},
     )
 
 
 def _first_full_degree(args: tuple[int, int, int, int]) -> int | None:
-    """First d <= d_max at which one sampled configuration has codimension N(n+1), or None."""
     n, N, d_max, trial_seed = args
     config = random_general_position_configuration(n, N, random.Random(trial_seed))
-    expected = N * (n + 1)
-    for d in range(1, d_max + 1):
-        if coefficient_space_dim(d, n) >= expected and codimension(d, config) == expected:
-            return d
-    return None
+    return _onset(config, d_max, lambda d: codimension(d, config))
 
 
 def general_position_bound(
@@ -456,10 +463,7 @@ def general_position_bound(
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
     args_list = [(n, N, d_max, s) for s in derive_trial_seeds(seed, trials)]
-    # The codimension is the Hilbert function of the zero-dimensional scheme
-    # of double points, which never decreases in d and never exceeds N(n+1).
-    # A configuration that reaches N(n+1) therefore keeps it, and the first
-    # degree good for every trial is the largest of the trials' first degrees.
+    # Full stays full (see _onset): the first degree good for all trials is their largest.
     firsts = _map_trials(_first_full_degree, args_list, jobs)
     if None in firsts:
         raise StabilizationError(

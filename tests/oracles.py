@@ -7,8 +7,9 @@ kernel bases come from sympy's nullspace, rank certificates are checked
 with sympy determinants and products, and point counts over prime fields
 come from the group-order formula or from enumerating matrices and forms,
 signed counts of Frobenius-stable subsets from orbit counts by Moebius
-inversion, and the ranks of singularity conditions over a prime field from
-an elimination written here.
+inversion, the ranks of singularity conditions over a prime field from
+an elimination written here, and stabilization degrees by reading a Hilbert
+function at every degree from the top down.
 """
 
 from __future__ import annotations
@@ -112,6 +113,23 @@ def sympy_certified_rank(rows: list[list[int]], pivot_rows, pivot_cols, kernel) 
     assert y.rows == a.rows - r and y.rank() == y.rows
     assert (y * a).is_zero_matrix
     return r
+
+
+def downward_regularity_scan(h, d_max: int, target: int) -> tuple[int, dict[int, int]]:
+    """The least degree from which h holds target up to d_max, and every value read.
+
+    Reads h at d_max, d_max - 1, ... until a degree is short of target (or
+    degree 1 is read), and returns the degree above that one together with
+    the values read, in increasing degree. The scan assumes nothing about h.
+    """
+    values = {}
+    d = d_max
+    while d >= 1:
+        values[d] = h(d)
+        if values[d] != target:
+            break
+        d -= 1
+    return d + 1, dict(sorted(values.items()))
 
 
 def gl_order(m: int, q: int) -> int:

@@ -35,6 +35,7 @@ from stablecoh.points import (
 )
 
 from oracles import (
+    downward_regularity_scan,
     projective_points_mod_p,
     rank_mod_p,
     singularity_rows_mod_p,
@@ -938,6 +939,102 @@ def test_regularity_scan_refuses_an_unstable_profile(fake, message, monkeypatch)
     with pytest.raises(StabilizationError) as raised:
         regularity_profile(p1_pair(), 6)
     assert str(raised.value) == message
+
+
+def line_without_zero_coordinates(n, N):
+    """The points (1 + 2t, 1 + 3t, ..., 1 + (n+2)t) for t < N: collinear, no coordinate zero."""
+    return PointConfiguration(n, tuple(tuple(1 + (i + 2) * t for i in range(n + 1))
+                                       for t in range(N)))
+
+
+@pytest.fixture(scope="module")
+def regularity_oracle():
+    """(configuration, d_max, (stabilization degree, values)) by the downward scan."""
+    golden = Path(__file__).parent / "golden" / "points.json"
+    configs = [random_configuration(n, N, random.Random(seed))
+               for n in range(1, 5) for N in range(1, 9) for seed in range(3)]
+    configs += [collinear_configuration(n, N) for n in range(1, 5) for N in range(1, 9)]
+    configs += [coordinate_configuration(n, N) for n in range(1, 5) for N in range(1, n + 2)]
+    configs += [line_without_zero_coordinates(n, N) for n in (2, 3) for N in range(2, 6)]
+    configs += [cfg for _, cfg in ZERO_HEAVY]
+    # The regularity goldens, the quick-commands workload's (2, 4) samples and the
+    # (4, 12) configuration of `regularity --n 4 --N 12 --seed 0`.
+    configs += [random_configuration(1, 2, random.Random(2)), parse_points_json(golden.read_text())]
+    configs += [random_configuration(2, 4, random.Random(seed)) for seed in range(12)]
+    configs.append(random_configuration(4, 12, random.Random(0)))
+    oracle = []
+    for cfg in configs:
+        target = cfg.count * (cfg.dimension + 1)
+        for d_max in (2 * cfg.count, 2 * cfg.count + 3):
+            scan = downward_regularity_scan(lambda d: codimension(d, cfg), d_max, target)
+            assert scan[0] <= 2 * cfg.count - 1, cfg
+            oracle.append((cfg, d_max, scan))
+    return oracle
+
+
+def scan_or_error(module, cfg, d_max):
+    try:
+        scan = module.regularity_profile(cfg, d_max)
+    except module.StabilizationError as exc:  # a mutant has its own class
+        return str(exc)
+    return scan.stabilization_degree, scan.values
+
+
+def test_regularity_profile_matches_the_downward_scan(regularity_oracle):
+    assert len(regularity_oracle) >= 300
+    for cfg, d_max, scan in regularity_oracle:
+        assert scan_or_error(conditions, cfg, d_max) == scan, (cfg, d_max)
+
+
+ONSET_MUTATIONS = {
+    "first-full-probe": (
+        "return below + 1 + bisect_left(range(below + 1, d), True, key=lambda e: h(e) == full)",
+        "return d"),
+    "bracket-one-too-high": ("below + 1 + bisect_left(range(below + 1, d)",
+                             "below + 2 + bisect_left(range(below + 2, d)"),
+}
+
+
+@pytest.mark.parametrize("old, new", ONSET_MUTATIONS.values(), ids=ONSET_MUTATIONS)
+def test_onset_mutants_fail_the_oracle(old, new, regularity_oracle):
+    mutant = mutant_conditions(old, new)
+    # Probes 4, 5 and 7 for four collinear points of the plane: both mutants find 7.
+    assert mutant.regularity_profile(collinear_configuration(2, 4), 8).stabilization_degree == 7
+    assert any(scan_or_error(mutant, cfg, d_max) != scan for cfg, d_max, scan in regularity_oracle)
+
+
+@pytest.fixture
+def degrees_read(monkeypatch):
+    """Patch codimension to record each degree it is asked for, in order."""
+    reads = []
+    codim = conditions.codimension
+
+    def counted(d, config):
+        reads.append(d)
+        return codim(d, config)
+
+    monkeypatch.setattr(conditions, "codimension", counted)
+    return reads
+
+
+def test_regularity_reads_d_max_the_onset_and_the_degree_below(degrees_read):
+    # lo = 4 for 12 points of P^4: C(8, 4) = 70 >= 60 > C(7, 4) = 35.
+    scan = regularity_profile(random_configuration(4, 12, random.Random(0)), 27)
+    assert (scan.stabilization_degree, scan.values[3], len(scan.values)) == (4, 35, 25)
+    assert degrees_read == [27, 4, 3]
+
+
+def test_regularity_read_count_does_not_grow_with_d_max(degrees_read):
+    scan = regularity_profile(p1_pair(), 20_000)
+    assert scan.values == {2: 3, **dict.fromkeys(range(3, 20_001), 4)}
+    assert len(degrees_read) <= 20
+
+
+def test_d0_scan_reads_the_degrees_of_the_upward_scan(degrees_read):
+    # Five points of the plane lie on a conic, whose square is singular at all
+    # of them: lo = 4 is short and the onset is 5 (Alexander-Hirschowitz).
+    assert general_position_bound(2, 5, trials=6, seed=0, d_max=10_000) == 5
+    assert degrees_read == [4, 5] * 6
 
 
 def test_general_position_bound_examples():

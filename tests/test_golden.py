@@ -69,6 +69,8 @@ USAGE_ERRORS = {
     "d0-scan-dimension-zero": ["d0-scan", "--n", "0", "--N", "3"],
     # 14 x 90,858,768 singularity matrix: refused before enumerating monomials.
     "too-large": ["codim", "--d", "60", "--n", "6", "--N", "2"],
+    # 12 x 12,507,501 at d_max, which the regularity scan reads before any other degree.
+    "regularity-too-large": ["regularity", "--n", "2", "--N", "4", "--d-max", "5000"],
     # n above e1.MAX_E1_DIMENSION: refused before any column is built.
     "band-too-large": ["band", "--d", "5", "--n", "1100", "--N", "3"],
     # N above e1.MAX_E1_POINTS: refused before the N substratum bounds are built.
