@@ -1,9 +1,9 @@
 """Singularity conditions at point configurations, in exact arithmetic.
 
 Requiring a degree-d form to be singular at a point imposes n+1 linear
-conditions (one per partial derivative). Points with common zero
-coordinates first split their rank into blocks on a smaller projective
-space. The blocks have three engines: for d >= 2N-1, the block-diagonal
+conditions (one per partial derivative). Points that span less than P^n
+first split, by a linear change of coordinates, into blocks on their
+span. The blocks have three engines: for d >= 2N-1, the block-diagonal
 conditions of the lemma's witness forms; otherwise, or if a witness block
 fails, a stream of the nonzero condition columns into a rank certified mod
 p, each built when the rank reads it; and Bareiss elimination when that
@@ -24,7 +24,7 @@ from math import prod
 from operator import add, getitem, mul
 from typing import Iterator, NamedTuple
 
-from .linalg import ExactMatrix, certified_rank, integer_rank, kernel_basis
+from .linalg import ExactMatrix, _eliminate, certified_rank, integer_rank, kernel_basis
 from .monomials import enumerate_monomials, monomial_index
 from .params import ParameterTriple, coefficient_space_dim
 from .points import (
@@ -121,7 +121,9 @@ def _witness_blocks(d: int, config: PointConfiguration) -> list[list[list[int]]]
     so K_a and its gradient vanish there, and not at p_a. The conditions of
     the forms x_j * K_a are then zero at every point but p_a, where they form
     B_a[i][j] = delta_ij K_a(p_a) + p_a[j] dK_a/dx_i(p_a) by the product
-    rule. Returns None if a form fails a check.
+    rule. By Euler's identity p_a . grad K_a(p_a) = (d-1) K_a(p_a), so
+    det B_a = d K_a(p_a)^(n+1) != 0 and codimension's fallback to the
+    stream is only a guard. Returns None if a form fails a check.
     """
     points = config.integer_points
     blocks = []
@@ -146,12 +148,15 @@ def _witness_blocks(d: int, config: PointConfiguration) -> list[list[list[int]]]
 def codimension(d: int, config: PointConfiguration) -> int:
     """Number of independent conditions the singularities impose in degree d.
 
-    A size guard counting every column, zero or not, comes first. If every
-    point lies in V(x_z : z in Z), the conditions are block diagonal by
-    support: the monomials free of Z give the same problem on P^(n-|Z|),
-    with Z dropped, and for each z in Z the monomials x_z * m give the
-    evaluation matrix there at degree d-1. The dropped points have no common
-    zero. For d >= 2N-1, full certified rank on every block of the witness
+    A size guard counting every column, zero or not, comes first. Let I be
+    the pivot columns of the N x (n+1) point matrix, by exact elimination,
+    and Z the other coordinates. On the points' span x_z = c_z . x_I, and
+    the change x_z -> x_z - c_z . x_I keeps the rank and the I-coordinates
+    and puts every point in V(x_z : z in Z). There the conditions are block
+    diagonal by support: the monomials free of Z give the same problem on
+    P^(|I|-1) at the points' I-coordinates, which span it, and for each z
+    in Z the monomials x_z * m give the evaluation matrix there at degree
+    d-1. For d >= 2N-1, full certified rank on every block of the witness
     forms x_j * K_a (see _witness_blocks) proves rank N(n+1), the row count.
     Otherwise the nonzero columns are streamed and certified mod p: about
     N(n+1) of them at full row rank, and every one when the rank is below
@@ -163,7 +168,7 @@ def codimension(d: int, config: PointConfiguration) -> int:
     n = config.dimension
     rows = config.count * (n + 1)
     _check_size(rows, coefficient_space_dim(d, n))
-    support = [i for i in range(n + 1) if any(p[i] for p in config.integer_points)]
+    support = _eliminate(config.integer_points, n + 1)[1]
     if len(support) <= n:
         dropped = PointConfiguration(len(support) - 1, tuple(
             tuple(p[i] for i in support) for p in config.integer_points))

@@ -78,6 +78,10 @@ def sympy_rank(rows: list[list]) -> int:
     return sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows]).rank()
 
 
+def sympy_determinant(rows: list[list[int]]) -> int:
+    return int(sympy.Matrix(rows).det())
+
+
 def sympy_kernel_basis(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     """sympy's nullspace, each vector scaled by a positive rational to be primitive.
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from stablecoh import conditions, linalg
 from stablecoh.conditions import (
+    RegularityScan,
     StabilizationError,
     codimension,
     derive_trial_seeds,
@@ -41,6 +42,7 @@ from oracles import (
     singularity_rows_mod_p,
     sympy_certified_rank,
     sympy_codimension,
+    sympy_determinant,
     sympy_rank,
 )
 
@@ -401,7 +403,7 @@ def test_zero_heavy_codimension_never_enumerates_the_whole_basis(monkeypatch, co
     assert columns_read == [23]
 
 
-# --- the split along common zero coordinates ------------------------------------
+# --- the split along the points' span -------------------------------------------
 
 
 # Points of P^4 in V(x_z : z in Z) for |Z| = 1, 2 and 3, with zeros elsewhere
@@ -416,6 +418,21 @@ SUBSPACE_CONFIGS = [
 PROBES = [(14, 3, 8), (10, 4, 6), (22, 2, 12), (22, 4, 12), (26, 4, 14)]
 
 
+def line_without_zero_coordinates(n, N):
+    """The points (1 + 2t, 1 + 3t, ..., 1 + (n+2)t) for t < N: collinear, no coordinate zero."""
+    return PointConfiguration(n, tuple(tuple(1 + (i + 2) * t for i in range(n + 1))
+                                       for t in range(N)))
+
+
+# Points of P^4 in no coordinate subspace: u, v and u - 2v on the line through
+# u = (1, 2, 0, 3, 1) and v = (2, 1, 1, 0, 3); u, v, w and u + v - w on the
+# plane through them and w = (1, 1, 2, 1, 1).
+SPAN_CONFIGS = [
+    PointConfiguration(4, ((1, 2, 0, 3, 1), (2, 1, 1, 0, 3), (-3, 0, -2, 3, -5))),
+    PointConfiguration(4, ((1, 2, 0, 3, 1), (2, 1, 1, 0, 3), (1, 1, 2, 1, 1), (2, 2, -1, 2, 3))),
+]
+
+
 @pytest.fixture(scope="module")
 def split_oracle():
     """(d, configuration, rank): sympy's rank of the nonzero partials, or the probes' line bound."""
@@ -423,6 +440,9 @@ def split_oracle():
     cases += [(d, coordinate_configuration(n, N))
               for n in range(1, 5) for N in range(1, n + 2) for d in range(1, 2 * N + 2)]
     cases += [(d, cfg) for cfg in SUBSPACE_CONFIGS for d in range(1, 2 * cfg.count + 2)]
+    # Spans that are no coordinate subspace: lines of P^3 and a line and a plane of P^4.
+    spans = [line_without_zero_coordinates(3, N) for N in (3, 4)] + SPAN_CONFIGS
+    cases += [(d, cfg) for cfg in spans for d in range(1, 2 * cfg.count + 2)]
     oracle = []
     for d, cfg in cases:
         nonzero = [column for _, column in partial_columns(d, cfg) if any(column)]
@@ -434,6 +454,10 @@ def test_split_matches_the_stream_and_sympy(split_oracle):
     common_zeros = [[z for z in range(5) if not any(p[z] for p in cfg.integer_points)]
                     for cfg in SUBSPACE_CONFIGS]
     assert common_zeros == [[2], [0, 3], [1, 2, 4]]
+    # The spans share no zero coordinate; their pivot columns are a line's and a plane's.
+    assert all(any(column) for cfg in SPAN_CONFIGS for column in zip(*cfg.integer_points))
+    assert [linalg._eliminate(cfg.integer_points, 5)[1] for cfg in SPAN_CONFIGS] == [
+        [0, 1], [0, 1, 2]]
     for d, cfg, rank in split_oracle:
         assert codimension(d, cfg) == stream_rank(d, cfg) == rank, (d, cfg)
 
@@ -447,6 +471,27 @@ def test_collinear_probe_splits_into_full_rank_blocks(d, n, N, columns_read, cer
     assert certificates == [] and bareiss_calls == []
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_lines_without_zero_coordinates_split_onto_their_line(n, certificates, bareiss_calls):
+    # Eight points on a line in no coordinate subspace: the pivot columns of the
+    # points put every degree on the line, where no rank needs a certificate.
+    target = 8 * (n + 1)
+    scan = regularity_profile(line_without_zero_coordinates(n, 8), 19)
+    values = {14: target - 1, **dict.fromkeys(range(15, 20), target)}
+    assert scan == RegularityScan(15, target, values)
+    assert certificates == [] and bareiss_calls == []
+
+
+def test_lines_without_zero_coordinates_meet_the_line_bound():
+    # Binary forms at N double points of the line, plus n - 1 evaluation blocks on it.
+    for n in (2, 3, 4):
+        for N in (3, 5, 8):
+            cfg = line_without_zero_coordinates(n, N)
+            degrees = range(1, 2 * N + 2)
+            assert [codimension(d, cfg) for d in degrees] == [
+                min(2 * N, d + 1) + (n - 1) * min(N, d) for d in degrees], (n, N)
+
+
 def mutant_conditions(old, new):
     """The conditions module with one source edit, loaded under another name."""
     source = Path(conditions.__file__).read_text(encoding="utf-8")
@@ -457,17 +502,37 @@ def mutant_conditions(old, new):
     return mutant
 
 
-SPLIT_MUTATIONS = {
+BLOCK_MUTATIONS = {
     "without-the-Z-factor": ("(n + 1 - len(support)) * certified_rank", "certified_rank"),
     "evaluation-at-degree-d": ("evaluation_matrix(d - 1, dropped)", "evaluation_matrix(d, dropped)"),
 }
+SPLIT_MUTATIONS = {
+    **BLOCK_MUTATIONS,
+    # Drops a pivot again at each recursion, so every configuration ends in a ValueError.
+    "one-pivot-dropped": ("_eliminate(config.integer_points, n + 1)[1]",
+                          "_eliminate(config.integer_points, n + 1)[1][:-1]"),
+}
+
+
+def value_or_error(module, d, cfg):
+    """codimension's value, or the ValueError it raised: either can fail the oracle."""
+    try:
+        return module.codimension(d, cfg)
+    except ValueError as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("old, new", SPLIT_MUTATIONS.values(), ids=SPLIT_MUTATIONS)
 def test_split_mutants_fail_the_oracle(old, new, split_oracle):
     mutant = mutant_conditions(old, new)
-    assert mutant.codimension(3, random_configuration(2, 2, random.Random(0))) == 6
-    assert any(mutant.codimension(d, cfg) != rank for d, cfg, rank in split_oracle)
+    assert any(value_or_error(mutant, d, cfg) != rank for d, cfg, rank in split_oracle)
+
+
+@pytest.mark.parametrize("old, new", BLOCK_MUTATIONS.values(), ids=BLOCK_MUTATIONS)
+def test_block_mutants_leave_spanning_points_alone(old, new):
+    # Three general points span the plane and take no split.
+    cfg = random_configuration(2, 3, random.Random(0))
+    assert mutant_conditions(old, new).codimension(3, cfg) == 9
 
 
 # --- the lemma's witness ---------------------------------------------------------
@@ -579,6 +644,19 @@ def test_witness_blocks_are_the_conditions_of_the_witness_forms(d, n, N, seed):
             for i in range(n + 1):
                 expected[a * (n + 1) + i] = blocks[a][i][j]
             assert conditions_of_form == expected, (a, j)
+
+
+@pytest.mark.parametrize("d, n, N", LEMMA_SIZES + [(8, 2, 4)])
+def test_witness_block_determinant_is_d_times_a_power_of_k(d, n, N):
+    # B_a = K I + grad K p_a^T has det K^n (K + grad K . p_a), and by Euler's
+    # identity grad K . p_a = (d - 1) K at p_a: det B_a = d K_a(p_a)^(n+1) != 0.
+    for seed in range(3):
+        cfg = random_configuration(n, N, random.Random(seed))
+        for a, block in enumerate(conditions._witness_blocks(d, cfg)):
+            p = cfg.integer_points[a]
+            kpoly = witness_polynomial(d, cfg.integer_points, a)
+            k = sum(c * prod(map(pow, p, e)) for e, c in kpoly.items())
+            assert k != 0 and sympy_determinant(block) == d * k ** (n + 1), (seed, a)
 
 
 @pytest.fixture
@@ -939,12 +1017,6 @@ def test_regularity_scan_refuses_an_unstable_profile(fake, message, monkeypatch)
     with pytest.raises(StabilizationError) as raised:
         regularity_profile(p1_pair(), 6)
     assert str(raised.value) == message
-
-
-def line_without_zero_coordinates(n, N):
-    """The points (1 + 2t, 1 + 3t, ..., 1 + (n+2)t) for t < N: collinear, no coordinate zero."""
-    return PointConfiguration(n, tuple(tuple(1 + (i + 2) * t for i in range(n + 1))
-                                       for t in range(N)))
 
 
 @pytest.fixture(scope="module")

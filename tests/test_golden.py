@@ -41,6 +41,9 @@ REPORTS = {
     "hilbert-points": ["hilbert", "--d", "5", "--points", POINTS],
     "regularity": ["regularity", "--n", "1", "--N", "2", "--seed", "2", "--d-max", "5"],
     "regularity-points": ["regularity", "--points", POINTS],
+    # Four points on a line in no coordinate subspace.
+    "regularity-line": ["regularity", "--points",
+                        "[[1,1,1,1],[3,4,5,6],[5,7,9,11],[7,10,13,16]]"],
     "d0-scan": ["d0-scan", "--n", "1", "--N", "2", "--trials", "3", "--seed", "2",
                 "--d-max", "4"],
     "d0-scan-exhausted": ["d0-scan", "--n", "1", "--N", "2", "--trials", "2",
