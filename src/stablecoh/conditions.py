@@ -19,7 +19,7 @@ import os
 import random
 import sys
 from bisect import bisect_left
-from functools import cache
+from functools import cache, partial
 from math import prod
 from operator import add, getitem, mul
 from typing import Iterator, NamedTuple
@@ -265,12 +265,12 @@ def hilbert_function(d: int, config: PointConfiguration, mode: str = "symbolic")
 
 
 # Most trials verify_codim_lemma and general_position_bound accept. Every
-# trial's seed, arguments and outcome are held until the report is built:
-# verify-lemma 15/3/8 --format json grows by about 2.5 KB a trial, and took
-# 17 s and 65 MB peak RSS at 20,000 trials with --jobs 1 (Python 3.11, 2
-# vCPUs), so the limit costs about 270 MB and 85 s there. Every golden,
-# benchmark and roadmap figure uses at most 2,000 trials. More raise
-# ValueError (exit 2 in the CLI) before any seed is derived.
+# trial's seed and integer result are held until the report is built:
+# verify-lemma 15/3/8 --format json grows by about 0.9 KB a trial, and took
+# 18 s and 33 MB peak RSS at 20,000 trials with --jobs 1 (Python 3.11, 2
+# vCPUs), and 96 s and 106 MB at the limit, which bounds time more than
+# memory. Every golden, benchmark and roadmap figure uses at most 2,000
+# trials. More raise ValueError (exit 2 in the CLI) before any seed is derived.
 MAX_TRIALS = 100_000
 
 
@@ -291,22 +291,21 @@ def derive_trial_seeds(seed: int, trials: int) -> list[int]:
     return [rng.getrandbits(64) for _ in range(trials)]
 
 
-def _codim_trial(args: tuple[int, int, int, int]) -> tuple[int, PointConfiguration]:
-    d, n, N, trial_seed = args
-    config = random_configuration(n, N, random.Random(trial_seed))
-    return codimension(d, config), config
+def _codim_trial(d: int, n: int, N: int, trial_seed: int) -> int:
+    return codimension(d, random_configuration(n, N, random.Random(trial_seed)))
 
 
-def _map_trials(worker, args_list, jobs: int):
+def _map_trials(worker, seeds: list[int], jobs: int) -> list:
+    """worker(seed) for each trial seed, in order: a trial is its seed, its result one integer."""
     # A fork-started pool launches all max_workers processes on the first
     # submit, so never ask for more than there are tasks or CPUs.
-    workers = min(jobs, len(args_list), os.cpu_count() or 1)
+    workers = min(jobs, len(seeds), os.cpu_count() or 1)
     if workers > 1:
-        chunk = max(1, len(args_list) // (workers * 4))
+        chunk = max(1, len(seeds) // (workers * 4))
         pool_class = sys.modules[__name__].ProcessPoolExecutor
         with pool_class(max_workers=workers) as pool:
-            return list(pool.map(worker, args_list, chunksize=chunk))
-    return [worker(args) for args in args_list]
+            return list(pool.map(worker, seeds, chunksize=chunk))
+    return list(map(worker, seeds))
 
 
 class CollinearProbe(NamedTuple):
@@ -336,24 +335,23 @@ def verify_codim_lemma(
 ) -> CodimLemmaReport:
     """Check that d >= 2N-1 forces codimension N(n+1), and that the bound is sharp.
 
-    Part one samples `trials` distinct configurations and recomputes the
-    codimension at the given degree; when d >= 2N-1 every value must equal
-    N(n+1) and any deviation is recorded as a counterexample. Part two
-    evaluates the deterministic collinear configuration at degree 2N-2,
-    where the codimension must drop below N(n+1), and records how the exact
-    value compares with the collinear ceiling N(n-1) + d + 1.
+    Part one samples a configuration from each of `trials` derived seeds and
+    keeps its codimension at the given degree; when d >= 2N-1 every value
+    must equal N(n+1), and a deviation is recorded as a counterexample whose
+    points are re-sampled from its seed. Part two evaluates the collinear
+    configuration at degree 2N-2, where the codimension must drop below
+    N(n+1), and records how it compares with the ceiling N(n-1) + d + 1.
     """
     _check_trials(trials)
     d, n, N = params.d, params.n, params.N
     expected = params.expected_codimension
-    args_list = [(d, n, N, s) for s in derive_trial_seeds(seed, trials)]
-    outcomes = _map_trials(_codim_trial, args_list, jobs)
-
-    codims = tuple(c for c, _ in outcomes)
+    seeds = derive_trial_seeds(seed, trials)
+    codims = tuple(_map_trials(partial(_codim_trial, d, n, N), seeds, jobs))
     counterexamples = []
     if params.in_guaranteed_range:
-        for i, (c, config) in enumerate(outcomes):
+        for i, c in enumerate(codims):
             if c != expected:
+                config = random_configuration(n, N, random.Random(seeds[i]))
                 counterexamples.append(
                     {
                         "trial": i,
@@ -443,8 +441,7 @@ def regularity_profile(config: PointConfiguration, d_max: int) -> RegularityScan
     )
 
 
-def _first_full_degree(args: tuple[int, int, int, int]) -> int | None:
-    n, N, d_max, trial_seed = args
+def _first_full_degree(n: int, N: int, d_max: int, trial_seed: int) -> int | None:
     config = random_general_position_configuration(n, N, random.Random(trial_seed))
     return _onset(config, d_max, lambda d: codimension(d, config))
 
@@ -467,9 +464,9 @@ def general_position_bound(
     _check_trials(trials)
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
-    args_list = [(n, N, d_max, s) for s in derive_trial_seeds(seed, trials)]
     # Full stays full (see _onset): the first degree good for all trials is their largest.
-    firsts = _map_trials(_first_full_degree, args_list, jobs)
+    firsts = _map_trials(partial(_first_full_degree, n, N, d_max),
+                         derive_trial_seeds(seed, trials), jobs)
     if None in firsts:
         raise StabilizationError(
             f"no degree <= {d_max} gave codimension {N * (n + 1)} on all {trials} "

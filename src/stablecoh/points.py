@@ -23,7 +23,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .linalg import integer_rank
+from .linalg import bareiss_rank
 
 if TYPE_CHECKING:
     # Annotations only: fractions is imported where a 'p/q' token is parsed.
@@ -151,12 +151,12 @@ def random_configuration(n: int, N: int, rng: random.Random) -> PointConfigurati
 def in_general_linear_position(config: PointConfiguration) -> bool:
     """No k+2 of the points lie in a k-dimensional linear subspace, k < n.
 
-    Checked by rank of the coordinate matrix of every subset of size
-    min(N, n+1); full rank on those forces it on all smaller subsets.
+    Checked by one exact fraction-free elimination of the coordinates of each
+    subset of size min(N, n+1); full rank there forces it on smaller subsets.
     """
     size = min(config.count, config.dimension + 1)
     for subset in combinations(range(config.count), size):
-        if integer_rank([config.integer_points[i] for i in subset]) < size:
+        if bareiss_rank([config.integer_points[i] for i in subset]) < size:
             return False
     return True
 

@@ -8,12 +8,14 @@ with sympy determinants and products, and point counts over prime fields
 come from the group-order formula or from enumerating matrices and forms,
 signed counts of Frobenius-stable subsets from orbit counts by Moebius
 inversion, the ranks of singularity conditions over a prime field from
-an elimination written here, and stabilization degrees by reading a Hilbert
-function at every degree from the top down.
+an elimination written here, stabilization degrees by reading a Hilbert
+function at every degree from the top down, and invariance under linear
+changes of coordinates by unimodular matrices drawn and checked here.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, gcd, lcm, prod
 
@@ -134,6 +136,39 @@ def downward_regularity_scan(h, d_max: int, target: int) -> tuple[int, dict[int,
             break
         d -= 1
     return d + 1, dict(sorted(values.items()))
+
+
+def unimodular_matrix(m: int, rng: random.Random) -> list[list[int]]:
+    """A random m x m integer matrix of determinant +-1, checked with sympy over ZZ.
+
+    The product of a lower and an upper unitriangular matrix with entries in
+    [-2, 2], its rows then permuted and negated at random.
+    """
+    lower = [[int(i == j) or (rng.randint(-2, 2) if j < i else 0) for j in range(m)]
+             for i in range(m)]
+    upper = [[int(i == j) or (rng.randint(-2, 2) if j > i else 0) for j in range(m)]
+             for i in range(m)]
+    rows = [[sign * sum(lower[i][k] * upper[k][j] for k in range(m)) for j in range(m)]
+            for i, sign in zip(rng.sample(range(m), m), rng.choices((1, -1), k=m))]
+    assert abs(DomainMatrix.from_list(rows, sympy.ZZ).det()) == 1
+    return rows
+
+
+def linear_invariance_violations(codimension, cases, seed: int):
+    """Yield each case (d, points) that fails codimension(d, g.P) == codimension(d, P) <= cap.
+
+    g is a fresh unimodular matrix per case, drawn from the seed, and cap is
+    min(N(n+1), C(d+n, n)): the row count and the column count of the
+    conditions. codimension is called with d and a list of integer points.
+    """
+    rng = random.Random(seed)
+    for d, points in cases:
+        n = len(points[0]) - 1
+        g = unimodular_matrix(n + 1, rng)
+        moved = [tuple(sum(x * c for x, c in zip(row, p)) for row in g) for p in points]
+        value = codimension(d, points)
+        if not codimension(d, moved) == value <= min(len(points) * (n + 1), comb(d + n, n)):
+            yield d, points
 
 
 def gl_order(m: int, q: int) -> int:

@@ -1,5 +1,6 @@
 """Singularity conditions: matrices, codimensions, squares, scans."""
 
+import multiprocessing
 import random
 import types
 from fractions import Fraction
@@ -37,6 +38,7 @@ from stablecoh.points import (
 
 from oracles import (
     downward_regularity_scan,
+    linear_invariance_violations,
     projective_points_mod_p,
     rank_mod_p,
     singularity_rows_mod_p,
@@ -190,16 +192,21 @@ SPORADIC = {(2, 4, 5), (3, 4, 9), (4, 4, 14), (4, 3, 7)}
 
 
 def alexander_hirschowitz_cases():
-    """(n, d, N, configuration) for n <= 4 and 2 <= d <= 5, seeded."""
-    rng = random.Random(1995)
+    """(n, d, N, configuration) for n <= 4 and 2 <= d <= 2N-1, each at its own pinned seed.
+
+    N runs to 10, or to 14 in P^4 to reach (4, 4, 14). The degrees are those
+    up to one past lo, the least d with C(d+n, n) >= N(n+1), and then 2N-2
+    and 2N-1: where the exceptions lie, where the conditions fill the columns
+    and where the lemma takes over. The middle degrees are left out to bound
+    the run time, and so are matrices past the size guard.
+    """
     for n in range(1, 5):
-        for d in range(2, 6):
-            cols = comb(d + n, n)
-            # N runs up to one past filling every column; the longest ranges keep
-            # only N <= 12 and their top two values, to bound the run time.
-            top = cols // (n + 1) + 1
-            for N in sorted({*range(1, min(top, 12) + 1), top - 1, top}):
-                yield n, d, N, random_configuration(n, N, rng)
+        for N in range(1, (14 if n == 4 else 10) + 1):
+            lo = next(d for d in range(1, 2 * N) if comb(d + n, n) >= N * (n + 1))
+            for d in range(2, 2 * N):
+                if ((d <= lo + 1 or d >= 2 * N - 2)
+                        and N * (n + 1) * comb(d + n, n) <= conditions.MAX_MATRIX_ENTRIES):
+                    yield n, d, N, random_configuration(n, N, random.Random(f"AH {n} {d} {N}"))
 
 
 def test_codimension_matches_alexander_hirschowitz():
@@ -212,7 +219,8 @@ def test_codimension_matches_alexander_hirschowitz():
             exceptions.add((n, d, N))
         else:
             assert value == generic, (n, d, N)
-    assert SPORADIC <= exceptions
+    # Every exception with N <= 10, or N <= 14 in P^4, was read and found deficient.
+    assert exceptions == SPORADIC | {(n, 2, N) for n in range(2, 5) for N in range(2, n + 1)}
 
 
 def test_lemma_holds_at_every_four_points_of_the_plane_over_f3():
@@ -248,7 +256,7 @@ ZERO_HEAVY = [
 def test_streamed_columns_are_the_partial_derivatives():
     # The stream is exactly the nonzero columns of the full matrix of partials
     # at the reordered points, in graded-lex order.
-    cases = [(d, cfg) for _, d, _, cfg in alexander_hirschowitz_cases()] + ZERO_HEAVY
+    cases = [(d, cfg) for _, d, _, cfg in alexander_hirschowitz_cases() if d <= 5] + ZERO_HEAVY
     for d, cfg in cases:
         streamed = list(conditions._singularity_columns(d, cfg))
         nonzero = [column for _, column in partial_columns(d, cfg) if any(column)]
@@ -533,6 +541,41 @@ def test_block_mutants_leave_spanning_points_alone(old, new):
     # Three general points span the plane and take no split.
     cfg = random_configuration(2, 3, random.Random(0))
     assert mutant_conditions(old, new).codimension(3, cfg) == 9
+
+
+def invariance_cases():
+    """(d, integer points) of random, collinear and coordinate configurations, n <= 4, N <= 7, d <= 2N."""
+    for n in range(1, 5):
+        for N in range(1, 8):
+            configs = [random_configuration(n, N, random.Random(f"GL {n} {N}")),
+                       collinear_configuration(n, N)]
+            configs += [coordinate_configuration(n, N)] if N <= n + 1 else []
+            for cfg in configs:
+                yield from ((d, cfg.integer_points) for d in range(1, 2 * cfg.count + 1))
+
+
+def invariance_violations(module):
+    def codim(d, points):
+        return module.codimension(d, PointConfiguration(len(points[0]) - 1, tuple(points)))
+
+    return linear_invariance_violations(codim, invariance_cases(), seed=2013)
+
+
+def test_codimension_is_invariant_under_unimodular_changes_of_coordinates():
+    # g.P spans no coordinate subspace, so the split, the witness and the stream
+    # run on other supports and larger entries than at P.
+    assert list(invariance_violations(conditions)) == []
+
+
+# The Z factor counts the same blocks at P and g.P, so only the other two fail here.
+@pytest.mark.parametrize("name", ["evaluation-at-degree-d", "one-pivot-dropped"])
+def test_split_mutants_fail_the_invariance_check(name):
+    mutant = mutant_conditions(*SPLIT_MUTATIONS[name])
+    try:
+        caught = next(invariance_violations(mutant), None) is not None
+    except ValueError:
+        caught = True
+    assert caught
 
 
 # --- the lemma's witness ---------------------------------------------------------
@@ -922,6 +965,31 @@ def test_counterexamples_and_probe_echo_json_points(monkeypatch):
     assert report.collinear.points == collinear_configuration(1, 2).json_points()
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only forked workers inherit the patched pickling")
+def test_pool_workers_return_integers_and_counterexamples_echo_their_seed(monkeypatch):
+    # A trial crosses the pool as its seed and comes back as an integer: with
+    # every PointConfiguration unpicklable in the workers, two-worker runs give
+    # the one-worker results, and a counterexample's points are those of its seed.
+    params = ParameterTriple(3, 1, 2)
+    failing = random_configuration(1, 2, random.Random(derive_trial_seeds(5, 8)[1]))
+    codim = conditions.codimension
+    monkeypatch.setattr(conditions, "codimension",
+                        lambda d, config: 0 if config == failing else codim(d, config))
+    monkeypatch.setattr(conditions.os, "cpu_count", lambda: 2)
+    runs = (lambda jobs: verify_codim_lemma(params, trials=8, seed=5, jobs=jobs),
+            lambda jobs: general_position_bound(2, 3, trials=6, seed=4, d_max=5, jobs=jobs))
+    serial = [run(1) for run in runs]
+    assert [c["trial"] for c in serial[0].counterexamples] == [1]
+    assert serial[0].counterexamples[0]["points"] == failing.json_points()
+
+    def refuse(self, protocol):
+        raise TypeError("a PointConfiguration crossed the process pool")
+
+    monkeypatch.setattr(PointConfiguration, "__reduce_ex__", refuse)
+    assert [run(2) for run in runs] == serial
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Swap the process pool for an in-process stand-in; returns the sizes asked for."""
@@ -1153,7 +1221,7 @@ def test_general_position_bound_matches_per_degree_scan(monkeypatch):
         return collinear_configuration(n, N) if rng.getrandbits(1) else config
 
     monkeypatch.setattr(conditions, "random_general_position_configuration", mixed)
-    firsts = {conditions._first_full_degree((2, 4, 7, s)) for s in derive_trial_seeds(3, 6)}
+    firsts = {conditions._first_full_degree(2, 4, 7, s) for s in derive_trial_seeds(3, 6)}
     assert firsts == {4, 7}
     for d_max in (6, 7, 9):
         assert bound_or_none(2, 4, 6, 3, d_max) == per_degree_scan(2, 4, 6, 3, d_max)

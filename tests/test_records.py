@@ -93,7 +93,7 @@ def test_records_are_immutable():
 
 
 def test_two_worker_pool_matches_one_job(monkeypatch):
-    """A real two-process pool sends every configuration back pickled."""
+    """A real two-process pool gives the one-job report; each trial crosses it as a seed."""
     sizes = []
 
     class CountingPool(conditions.ProcessPoolExecutor):
