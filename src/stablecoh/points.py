@@ -23,7 +23,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .linalg import bareiss_rank
+from .linalg import _eliminate
 
 if TYPE_CHECKING:
     # Annotations only: fractions is imported where a 'p/q' token is parsed.
@@ -155,8 +155,8 @@ def in_general_linear_position(config: PointConfiguration) -> bool:
     subset of size min(N, n+1); full rank there forces it on smaller subsets.
     """
     size = min(config.count, config.dimension + 1)
-    for subset in combinations(range(config.count), size):
-        if bareiss_rank([config.integer_points[i] for i in subset]) < size:
+    for subset in combinations(config.integer_points, size):
+        if len(_eliminate(subset, config.dimension + 1)[1]) < size:
             return False
     return True
 

@@ -192,21 +192,28 @@ SPORADIC = {(2, 4, 5), (3, 4, 9), (4, 4, 14), (4, 3, 7)}
 
 
 def alexander_hirschowitz_cases():
-    """(n, d, N, configuration) for n <= 4 and 2 <= d <= 2N-1, each at its own pinned seed.
+    """(n, d, N, configuration) for n <= 4 and d >= 2, each at its own pinned seed.
 
-    N runs to 10, or to 14 in P^4 to reach (4, 4, 14). The degrees are those
-    up to one past lo, the least d with C(d+n, n) >= N(n+1), and then 2N-2
-    and 2N-1: where the exceptions lie, where the conditions fill the columns
-    and where the lemma takes over. The middle degrees are left out to bound
-    the run time, and so are matrices past the size guard.
+    Two ranges are joined. For 2 <= d <= 5, N runs up to one past filling
+    every column; the longest ranges keep only N <= 12 and their top two
+    values. For N up to 10, or 14 in P^4 to reach (4, 4, 14), the degrees are
+    those up to one past lo, the least d with C(d+n, n) >= N(n+1), and then
+    2N-2 and 2N-1: where the exceptions lie, where the conditions fill the
+    columns and where the lemma takes over. The rest is left out to bound the
+    run time, and so are matrices past the size guard.
     """
+    triples = set()
     for n in range(1, 5):
+        for d in range(2, 6):
+            top = comb(d + n, n) // (n + 1) + 1
+            triples.update((n, d, N) for N in {*range(1, min(top, 12) + 1), top - 1, top})
         for N in range(1, (14 if n == 4 else 10) + 1):
             lo = next(d for d in range(1, 2 * N) if comb(d + n, n) >= N * (n + 1))
-            for d in range(2, 2 * N):
-                if ((d <= lo + 1 or d >= 2 * N - 2)
-                        and N * (n + 1) * comb(d + n, n) <= conditions.MAX_MATRIX_ENTRIES):
-                    yield n, d, N, random_configuration(n, N, random.Random(f"AH {n} {d} {N}"))
+            triples.update((n, d, N) for d in range(2, 2 * N)
+                           if (d <= lo + 1 or d >= 2 * N - 2)
+                           and N * (n + 1) * comb(d + n, n) <= conditions.MAX_MATRIX_ENTRIES)
+    for n, d, N in sorted(triples):
+        yield n, d, N, random_configuration(n, N, random.Random(f"AH {n} {d} {N}"))
 
 
 def test_codimension_matches_alexander_hirschowitz():
