@@ -147,7 +147,7 @@ def emit(args, seed: int, seed_source: str, report: Report) -> None:
     else:
         header = [
             f"stablecoh {__version__} {args.command}",
-            "params: " + (" ".join(f"{k}={v}" for k, v in report.params.items()) or "(none)"),
+            "params: " + " ".join(f"{k}={v}" for k, v in report.params.items()),
             f"seed: {seed} ({seed_source})",
         ]
         text = "\n".join(header + report.lines) + "\n"

@@ -183,7 +183,8 @@ def codimension(d: int, config: PointConfiguration) -> int:
 
 def symbolic_square_dim(d: int, config: PointConfiguration) -> int:
     """Dimension of the degree-d forms vanishing to order >= 2 at every point."""
-    return coefficient_space_dim(d, config.dimension) - codimension(d, config)
+    codim = codimension(d, config)  # first, so d < 0 gets the degree message
+    return coefficient_space_dim(d, config.dimension) - codim
 
 
 def evaluation_matrix(e: int, config: PointConfiguration) -> ExactMatrix:
@@ -208,10 +209,8 @@ def ordinary_square_dim(d: int, config: PointConfiguration) -> int:
 
     g runs over degree a and h over degree d-a for every split 1 <= a <= d-1;
     since the ideal of the points is generated in positive degrees, this span
-    is the full degree-d part of its square.
+    is the full degree-d part of its square, for d >= 1: 0 at d = 1, with no split.
     """
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
     n = config.dimension
     # I^2 lies inside I^(2), so the rank is at most dim I^(2)_d. Taking that
     # bound first puts codimension's size guard before any enumeration.
@@ -246,17 +245,15 @@ def ordinary_square_dim(d: int, config: PointConfiguration) -> int:
 def hilbert_function(d: int, config: PointConfiguration, mode: str = "symbolic") -> int:
     """Codimension of the chosen square of the point ideal in degree d.
 
-    'symbolic' counts conditions for order-two vanishing (the rank of the
-    singularity matrix); 'ordinary' counts the complement of the degreewise
-    product span. Both stabilize at N(n+1) for d >= 2N-1; they can differ
-    below 2N and any such disagreement is data, not an error.
+    'symbolic' counts conditions for order-two vanishing (the rank of the singularity
+    matrix); 'ordinary' counts the complement of the degreewise product span, which is
+    n+1 at d = 1. Both stabilize at N(n+1) for d >= 2N-1; they can differ below 2N
+    and any such disagreement is data, not an error. Each square refuses d < 1.
     """
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
     if mode == "symbolic":
         return codimension(d, config)
     if mode == "ordinary":
-        square = ordinary_square_dim(d, config) if d >= 2 else 0
+        square = ordinary_square_dim(d, config)
         return coefficient_space_dim(d, config.dimension) - square
     raise ValueError(f"mode must be 'symbolic' or 'ordinary', got {mode!r}")
 
@@ -401,12 +398,13 @@ def _onset(config: PointConfiguration, d_max: int, h) -> int | None:
     """Least d <= d_max with h(d) = codimension(d, config) = N(n+1), or None.
 
     h is the Hilbert function of the double-point scheme: it never decreases in d,
-    never exceeds N(n+1) (Eisenbud, GTM 229) and is short below lo, the least d
+    never exceeds N(n+1) (Eisenbud, GTM 229) and is short below lo, the least d >= 1
     with C(d+n, n) >= N(n+1). A gallop lo, lo+1, lo+3, lo+7, ... to a full degree,
     then a bisection back over the last gap, reads no degree above twice the onset.
     """
     full = config.count * (config.dimension + 1)
-    lo = bisect_left(range(full), full, key=lambda d: coefficient_space_dim(d, config.dimension))
+    lo = max(1, bisect_left(range(full), full,
+                            key=lambda d: coefficient_space_dim(d, config.dimension)))
     below, step = lo - 1, 1
     while below < d_max:
         d = min(lo - 1 + step, d_max)

@@ -188,7 +188,7 @@ class BandReport(NamedTuple):
     band: tuple[int, int]        # open interval of cohomological degrees
     bm_window: tuple[int, int]   # closed interval of BM degrees that must be empty
     supports: tuple[int, ...]
-    minimal_support: int | None
+    minimal_support: int
     verified: bool
     guaranteed: bool
     regime_notes: tuple[str, ...]
@@ -213,7 +213,7 @@ def vanishing_band(params: ParameterTriple) -> BandReport:
         band=((n + 1) ** 2, N),
         bm_window=(lo, hi),
         supports=supports,
-        minimal_support=min(supports) if supports else None,
+        minimal_support=min(supports),
         verified=verified,
         guaranteed=page.guaranteed,
         regime_notes=page.regime_notes,

@@ -81,6 +81,8 @@ class PointConfiguration(_Configuration):
         n = dimension
         if n < 0:
             raise ValueError(f"projective dimension must be >= 0, got {n}")
+        if not points:
+            raise ValueError("point count must be >= 1, got 0")
         seen: dict[tuple[int, ...], int] = {}
         for j, point in enumerate(points):
             if len(point) != n + 1:

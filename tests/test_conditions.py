@@ -191,6 +191,11 @@ def test_codimension_invariant_under_scaling_and_permutation(n, N, d, seed, data
 SPORADIC = {(2, 4, 5), (3, 4, 9), (4, 4, 14), (4, 3, 7)}
 
 
+def generic_codimension(d, n, N):
+    """min(N(n+1), C(d+n, n)): the value for general points, and a cap on every configuration."""
+    return min(N * (n + 1), comb(d + n, n))
+
+
 def alexander_hirschowitz_cases():
     """(n, d, N, configuration) for n <= 4 and d >= 2, each at its own pinned seed.
 
@@ -220,7 +225,7 @@ def test_codimension_matches_alexander_hirschowitz():
     exceptions = set()
     for n, d, N, cfg in alexander_hirschowitz_cases():
         value = codimension(d, cfg)
-        generic = min(N * (n + 1), comb(d + n, n))
+        generic = generic_codimension(d, n, N)
         if (d == 2 and 2 <= N <= n) or (n, d, N) in SPORADIC:
             assert value < generic, (n, d, N)
             exceptions.add((n, d, N))
@@ -475,6 +480,7 @@ def test_split_matches_the_stream_and_sympy(split_oracle):
         [0, 1], [0, 1, 2]]
     for d, cfg, rank in split_oracle:
         assert codimension(d, cfg) == stream_rank(d, cfg) == rank, (d, cfg)
+        assert rank <= generic_codimension(d, cfg.dimension, cfg.count), (d, cfg)
 
 
 @pytest.mark.parametrize("d, n, N", PROBES)
@@ -918,6 +924,34 @@ def test_hilbert_bad_mode():
         hilbert_function(2, p1_pair(), "floating")
 
 
+def test_degree_one_takes_the_general_path_in_both_squares():
+    # No split 1 <= a <= d/2 exists at d = 1, so the product list is empty.
+    configs = [random_configuration(3, 4, random.Random(5)), plane_coords(),
+               collinear_configuration(3, 4)]
+    for cfg in configs:
+        assert ordinary_square_dim(1, cfg) == 0
+        assert hilbert_function(1, cfg, "ordinary") == cfg.dimension + 1
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "ordinary"])
+@pytest.mark.parametrize("d", [0, -1])
+def test_each_square_refuses_degrees_below_one(d, mode):
+    with pytest.raises(ValueError, match=rf"^degree must be >= 1, got {d}$"):
+        hilbert_function(d, plane_coords(), mode)
+
+
+def test_a_configuration_of_no_points_is_refused_where_it_is_built():
+    entry_points = [
+        lambda: codimension(3, PointConfiguration(2, ())),
+        lambda: regularity_profile(PointConfiguration(2, ()), 4),
+        lambda: ordinary_square_dim(3, PointConfiguration(2, ())),
+        lambda: general_position_bound(2, 0, 3, 0, 5),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValueError, match=r"^point count must be >= 1, got 0$"):
+            call()
+
+
 # --- lemma verification ----------------------------------------------------------
 
 
@@ -1127,10 +1161,13 @@ def scan_or_error(module, cfg, d_max):
     return scan.stabilization_degree, scan.values
 
 
-def test_regularity_profile_matches_the_downward_scan(regularity_oracle):
+def test_regularity_profile_matches_the_downward_scan(regularity_oracle, degrees_read):
     assert len(regularity_oracle) >= 300
     for cfg, d_max, scan in regularity_oracle:
         assert scan_or_error(conditions, cfg, d_max) == scan, (cfg, d_max)
+        n, N = cfg.dimension, cfg.count
+        assert all(v <= generic_codimension(d, n, N) for d, v in scan[1].items()), (cfg, d_max)
+    assert min(degrees_read) >= 1
 
 
 ONSET_MUTATIONS = {
@@ -1182,6 +1219,34 @@ def test_d0_scan_reads_the_degrees_of_the_upward_scan(degrees_read):
     # of them: lo = 4 is short and the onset is 5 (Alexander-Hirschowitz).
     assert general_position_bound(2, 5, trials=6, seed=0, d_max=10_000) == 5
     assert degrees_read == [4, 5] * 6
+
+
+def test_one_point_of_p0_is_full_from_degree_one(degrees_read):
+    # lo would be 0 here, as C(0, 0) = 1 = N(n+1), but no degree below 1 is read.
+    scan = regularity_profile(PointConfiguration(0, ((3,),)), 5)
+    assert scan == RegularityScan(1, 1, dict.fromkeys(range(1, 6), 1))
+    assert general_position_bound(0, 1, trials=2, seed=0, d_max=1) == 1
+    assert degrees_read == [5, 1, 1, 1]
+
+
+def predicted_onset(n, N):
+    """lo, the least d >= 1 with C(d+n, n) >= N(n+1), or lo + 1 where (n, lo, N) is deficient."""
+    lo = next(d for d in range(1, 2 * N) if comb(d + n, n) >= N * (n + 1))
+    return lo + ((lo == 2 and 2 <= N <= n) or (n, lo, N) in SPORADIC)
+
+
+def test_general_position_bound_is_the_alexander_hirschowitz_onset():
+    # N <= 10 with three trials, and (4, 14) with one: its 2,002 subsets of
+    # five points and its deficient 70 x 70 degree-4 matrix take most of the time.
+    pairs = [(n, N, 3) for n in range(1, 5) for N in range(1, 11)] + [(4, 14, 1)]
+    deficient = set()
+    for n, N, trials in pairs:
+        onset = general_position_bound(n, N, trials, seed=N, d_max=2 * N - 1)
+        assert onset == predicted_onset(n, N), (n, N)
+        if generic_codimension(onset - 1, n, N) == N * (n + 1):
+            deficient.add((n, onset - 1, N))
+    assert deficient == {(2, 2, 2), (3, 2, 2), (4, 2, 2), (4, 2, 3), (2, 4, 5), (4, 3, 7),
+                         (4, 4, 14)}
 
 
 def test_general_position_bound_examples():

@@ -39,11 +39,15 @@ REPORTS = {
                      "--trials", "3", "--seed", "7"],
     "hilbert": ["hilbert", "--d", "4", "--n", "2", "--N", "3", "--seed", "3"],
     "hilbert-points": ["hilbert", "--d", "5", "--points", POINTS],
+    # Degree 1: no product of two ideal elements, so the ordinary value is n+1.
+    "hilbert-degree-one": ["hilbert", "--d", "1", "--n", "2", "--N", "2", "--seed", "1"],
     "regularity": ["regularity", "--n", "1", "--N", "2", "--seed", "2", "--d-max", "5"],
     "regularity-points": ["regularity", "--points", POINTS],
     # Four points on a line in no coordinate subspace.
     "regularity-line": ["regularity", "--points",
                         "[[1,1,1,1],[3,4,5,6],[5,7,9,11],[7,10,13,16]]"],
+    # One point of P^0: full from degree 1, where the onset search starts.
+    "regularity-p0-point": ["regularity", "--points", "[[3]]"],
     "d0-scan": ["d0-scan", "--n", "1", "--N", "2", "--trials", "3", "--seed", "2",
                 "--d-max", "4"],
     "d0-scan-exhausted": ["d0-scan", "--n", "1", "--N", "2", "--trials", "2",
