@@ -22,7 +22,7 @@ import json
 import os
 import random
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import __version__
 from .conditions import (
@@ -53,17 +53,17 @@ from .tables import gl_cohomology, grassmannian_poincare, twisted_config_bm
 SEED_ENV_VAR = "STABLECOH_SEED"
 
 
-class Report(NamedTuple):
-    """One subcommand's outcome: the JSON payload, CSV rows and table lines.
+Report = namedtuple("Report", [
+    "params",    # dict
+    "payload",   # dict
+    "csv_rows",  # list[tuple]
+    "lines",     # list[str]
+    "ok",        # bool, default True
+], defaults=(True,))
+Report.__doc__ = """One subcommand's outcome: the JSON payload, CSV rows and table lines.
 
     `ok` False means a checked property failed or a scan gave up (exit 1).
     """
-
-    params: dict
-    payload: dict
-    csv_rows: list[tuple]
-    lines: list[str]
-    ok: bool = True
 
 
 def resolve_seed(flag_value: int | None) -> tuple[int, str]:

@@ -19,10 +19,11 @@ import os
 import random
 import sys
 from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import cache, partial
 from math import prod
 from operator import add, getitem, mul
-from typing import Iterator, NamedTuple
 
 from .linalg import ExactMatrix, _eliminate, certified_rank, integer_rank, kernel_basis
 from .monomials import enumerate_monomials, monomial_index
@@ -305,26 +306,25 @@ def _map_trials(worker, seeds: list[int], jobs: int) -> list:
     return list(map(worker, seeds))
 
 
-class CollinearProbe(NamedTuple):
-    """Codimension of the collinear probe configuration at degree 2N-2."""
+CollinearProbe = namedtuple("CollinearProbe", [
+    "degree",             # int
+    "points",             # list[list[str]]: as echoed, from PointConfiguration.json_points()
+    "codimension",        # int
+    "max_allowed",        # int: N(n+1) - 1
+    "line_bound",         # int: N(n-1) + d + 1
+    "below_generic",      # bool: codimension <= N(n+1) - 1
+    "within_line_bound",  # bool
+    "equals_line_bound",  # bool
+])
+CollinearProbe.__doc__ = "Codimension of the collinear probe configuration at degree 2N-2."
 
-    degree: int
-    points: list[list[str]]  # as echoed, from PointConfiguration.json_points()
-    codimension: int
-    max_allowed: int       # N(n+1) - 1
-    line_bound: int        # N(n-1) + d + 1
-    below_generic: bool    # codimension <= N(n+1) - 1
-    within_line_bound: bool
-    equals_line_bound: bool
-
-
-class CodimLemmaReport(NamedTuple):
-    """Outcome of the randomized codimension check plus the sharpness probe."""
-
-    codimensions: tuple[int, ...]
-    counterexamples: tuple[dict, ...]
-    collinear: CollinearProbe | None
-    verified: bool
+CodimLemmaReport = namedtuple("CodimLemmaReport", [
+    "codimensions",     # tuple[int, ...]
+    "counterexamples",  # tuple[dict, ...]
+    "collinear",        # CollinearProbe | None
+    "verified",         # bool
+])
+CodimLemmaReport.__doc__ = "Outcome of the randomized codimension check plus the sharpness probe."
 
 
 def verify_codim_lemma(
@@ -386,12 +386,14 @@ def verify_codim_lemma(
     )
 
 
-class RegularityScan(NamedTuple):
-    """Symbolic Hilbert values from the degree below the onset of N(n+1) to d_max."""
-
-    stabilization_degree: int
-    target: int
-    values: dict[int, int]  # read at d_max, the onset and below it; N(n+1) between by _onset
+RegularityScan = namedtuple("RegularityScan", [
+    "stabilization_degree",  # int
+    "target",                # int
+    # dict[int, int]: read at d_max, the onset and below it; N(n+1) between by _onset
+    "values",
+])
+RegularityScan.__doc__ = (
+    "Symbolic Hilbert values from the degree below the onset of N(n+1) to d_max.")
 
 
 def _onset(config: PointConfiguration, d_max: int, h) -> int | None:

@@ -11,8 +11,7 @@ reproduce the exterior-algebra table of the general linear group.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 from .params import ParameterTriple, coefficient_space_dim
 from .tables import (MAX_E1_DIMENSION, GradedTateVector, check_e1_dimension, gaussian_binomial,
@@ -25,15 +24,17 @@ from .tables import (MAX_E1_DIMENSION, GradedTateVector, check_e1_dimension, gau
 MAX_E1_POINTS = 100_000
 
 
-class E1Page(NamedTuple):
+class E1Page(namedtuple("E1Page", [
+    "coefficient_dim",  # int
+    "columns",          # dict[int, GradedTateVector]: column l -> its Borel-Moore table
+    "fn_threshold",     # int: BM degree from which column N cannot contribute
+    "phi_dim_bounds",   # tuple[int, ...]: real-dimension bound 2c-2N+l for substratum l
+    "guaranteed",       # bool
+    "regime_notes",     # tuple[str, ...]
+])):
     """Assembled first page: columns 1..n+1 plus the column-N threshold data."""
 
-    coefficient_dim: int
-    columns: dict[int, GradedTateVector]  # column l -> its Borel-Moore table
-    fn_threshold: int             # BM degree from which column N cannot contribute
-    phi_dim_bounds: tuple[int, ...]  # real-dimension bound 2c-2N+l for substratum l
-    guaranteed: bool
-    regime_notes: tuple[str, ...]
+    __slots__ = ()
 
     def supported_degrees(self) -> tuple[int, ...]:
         return tuple(sorted(set().union(*self.columns.values())))
@@ -85,14 +86,16 @@ def assemble_e1(params: ParameterTriple) -> E1Page:
     )
 
 
-class DualClass(NamedTuple):
+class DualClass(namedtuple("DualClass", [
+    "column",       # int
+    "bm_degree",    # int
+    "dual_degree",  # int
+    "dim",          # int
+    "tate",         # int
+])):
     """One Alexander-dual class of the complement, tracked back to its column."""
 
-    column: int
-    bm_degree: int
-    dual_degree: int
-    dim: int
-    tate: int
+    __slots__ = ()
 
     @property
     def weight(self) -> int:
@@ -129,16 +132,16 @@ def alexander_dual(page: E1Page) -> GradedTateVector:
     )
 
 
-class StableMatchReport(NamedTuple):
-    """Comparison of the dual-degree multiset with the general-linear table."""
-
-    n: int
-    matched: bool
-    stratum_degrees: dict[int, int]
-    gl_degrees: dict[int, int]
-    missing: dict[int, int]   # in the general-linear table but not the strata
-    extra: dict[int, int]     # in the strata but not the general-linear table
-    weights_matched: bool
+StableMatchReport = namedtuple("StableMatchReport", [
+    "n",                # int
+    "matched",          # bool
+    "stratum_degrees",  # dict[int, int]
+    "gl_degrees",       # dict[int, int]
+    "missing",          # dict[int, int]: in the general-linear table but not the strata
+    "extra",            # dict[int, int]: in the strata but not the general-linear table
+    "weights_matched",  # bool
+])
+StableMatchReport.__doc__ = "Comparison of the dual-degree multiset with the general-linear table."
 
 
 def verify_stable_match(n: int) -> StableMatchReport:
@@ -181,17 +184,17 @@ def verify_stable_match(n: int) -> StableMatchReport:
     )
 
 
-class BandReport(NamedTuple):
-    """Vanishing check for the cohomological band between (n+1)^2 and N."""
-
-    coefficient_dim: int
-    band: tuple[int, int]        # open interval of cohomological degrees
-    bm_window: tuple[int, int]   # closed interval of BM degrees that must be empty
-    supports: tuple[int, ...]
-    minimal_support: int
-    verified: bool
-    guaranteed: bool
-    regime_notes: tuple[str, ...]
+BandReport = namedtuple("BandReport", [
+    "coefficient_dim",  # int
+    "band",             # tuple[int, int]: open interval of cohomological degrees
+    "bm_window",        # tuple[int, int]: closed interval of BM degrees that must be empty
+    "supports",         # tuple[int, ...]
+    "minimal_support",  # int
+    "verified",         # bool
+    "guaranteed",       # bool
+    "regime_notes",     # tuple[str, ...]
+])
+BandReport.__doc__ = "Vanishing check for the cohomological band between (n+1)^2 and N."
 
 
 def vanishing_band(params: ParameterTriple) -> BandReport:
@@ -220,23 +223,22 @@ def vanishing_band(params: ParameterTriple) -> BandReport:
     )
 
 
-class PredictionRow(NamedTuple):
-    """Predicted cohomology of the non-singular locus in one stable degree."""
+PredictionRow = namedtuple("PredictionRow", [
+    "degree",      # int
+    "dim",         # int
+    "components",  # tuple[tuple[int, int, int, int], ...]: (dim, tate, weight, factors)
+    "moduli_dim",  # int
+])
+PredictionRow.__doc__ = "Predicted cohomology of the non-singular locus in one stable degree."
 
-    degree: int
-    dim: int
-    components: tuple[tuple[int, int, int, int], ...]  # (dim, tate, weight, factors)
-    moduli_dim: int
-
-
-class StableRangeReport(NamedTuple):
-    """Predictions in the stable band k < (d+1)/2 for a fixed (d, n)."""
-
-    N: int
-    max_stable_degree: int
-    rows: tuple[PredictionRow, ...]
-    band_covers_gl: bool
-    stable_positive_dim: int
+StableRangeReport = namedtuple("StableRangeReport", [
+    "N",                    # int
+    "max_stable_degree",    # int
+    "rows",                 # tuple[PredictionRow, ...]
+    "band_covers_gl",       # bool
+    "stable_positive_dim",  # int
+])
+StableRangeReport.__doc__ = "Predictions in the stable band k < (d+1)/2 for a fixed (d, n)."
 
 
 def stable_range_report(d: int, n: int) -> StableRangeReport:

@@ -31,9 +31,10 @@ byte-identical for identical inputs.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from math import gcd
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
 
 # The largest prime below 2^30: every residue fits in one CPython digit, which
 # keeps the elimination loop on single-digit integers.
@@ -218,9 +219,9 @@ def kernel_basis(rows: Sequence[Sequence[int]], n_cols: int) -> tuple[tuple[int,
     return tuple(basis)
 
 
-class ExactMatrix(NamedTuple):
-    """Dense matrix of arbitrary-precision integers."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+ExactMatrix = namedtuple("ExactMatrix", [
+    "rows",     # int
+    "cols",     # int
+    "entries",  # tuple[tuple[int, ...], ...]
+])
+ExactMatrix.__doc__ = "Dense matrix of arbitrary-precision integers."

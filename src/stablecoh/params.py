@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb
-from typing import NamedTuple
 
 
 def coefficient_space_dim(d: int, n: int) -> int:
@@ -21,10 +21,7 @@ def check_dimension_and_count(n: int, N: int) -> None:
         raise ValueError(f"point count must be >= 1, got {N}")
 
 
-class _Triple(NamedTuple):
-    d: int
-    n: int
-    N: int
+_Triple = namedtuple("_Triple", ["d", "n", "N"])  # three ints
 
 
 class ParameterTriple(_Triple):

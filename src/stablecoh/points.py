@@ -17,22 +17,17 @@ MAX_ATTEMPTS draws, a zero draw counting as one.
 from __future__ import annotations
 
 import json
-import random
 import re
+from collections import namedtuple
+from collections.abc import Sequence
 from itertools import combinations
 from math import gcd, lcm
-from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .linalg import _eliminate
 
-if TYPE_CHECKING:
-    # Annotations only: fractions is imported where a 'p/q' token is parsed.
-    from fractions import Fraction
-
-    Coord = int | Fraction
-    Point = tuple[Coord, ...]
-
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
+# Annotations are strings, so their names need not exist at run time: Coord is
+# int | fractions.Fraction, Point is tuple[Coord, ...], and rng is a random.Random.
+# fractions is imported where a 'p/q' token is parsed.
 
 COORD_BOUND = 100
 MAX_ATTEMPTS = 1000
@@ -65,11 +60,13 @@ def _normal_form(point: Sequence[Coord]) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-class _Configuration(NamedTuple):
-    dimension: int
-    points: tuple[Point, ...]
-    # The normal form of each point, in the same order; see the module docstring.
-    integer_points: tuple[tuple[int, ...], ...]
+_Configuration = namedtuple("_Configuration", [
+    "dimension",       # int
+    "points",          # tuple[Point, ...]
+    # tuple[tuple[int, ...], ...]: the normal form of each point, in the same order;
+    # see the module docstring.
+    "integer_points",
+])
 
 
 class PointConfiguration(_Configuration):
@@ -182,7 +179,7 @@ def _parse_coordinate(token: object, point: int, coord: int) -> Coord:
         return token
     if isinstance(token, str):
         text = token.strip()
-        if not _RATIONAL_RE.fullmatch(text):
+        if not re.fullmatch(r"[+-]?\d+(/\d+)?", text):
             raise PointsParseError(f"bad token {token!r}", point=point, coord=coord)
         from fractions import Fraction
 

@@ -12,7 +12,7 @@ Conventions, fixed here once and reused everywhere downstream:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 TateComponent = tuple[int, int]  # (dimension, tate index)
 

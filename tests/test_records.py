@@ -9,10 +9,66 @@ from pathlib import Path
 import pytest
 
 import stablecoh
-from stablecoh import conditions
+from stablecoh import cli, conditions, e1, linalg, params, points
 from stablecoh.conditions import CodimLemmaReport, CollinearProbe, verify_codim_lemma
 from stablecoh.params import ParameterTriple
 from stablecoh.points import PointConfiguration
+
+# Every result record and its fields, in order.
+RECORD_FIELDS = {
+    cli.Report: ("params", "payload", "csv_rows", "lines", "ok"),
+    conditions.CollinearProbe: (
+        "degree", "points", "codimension", "max_allowed", "line_bound", "below_generic",
+        "within_line_bound", "equals_line_bound",
+    ),
+    conditions.CodimLemmaReport: ("codimensions", "counterexamples", "collinear", "verified"),
+    conditions.RegularityScan: ("stabilization_degree", "target", "values"),
+    e1.E1Page: (
+        "coefficient_dim", "columns", "fn_threshold", "phi_dim_bounds", "guaranteed",
+        "regime_notes",
+    ),
+    e1.DualClass: ("column", "bm_degree", "dual_degree", "dim", "tate"),
+    e1.StableMatchReport: (
+        "n", "matched", "stratum_degrees", "gl_degrees", "missing", "extra", "weights_matched",
+    ),
+    e1.BandReport: (
+        "coefficient_dim", "band", "bm_window", "supports", "minimal_support", "verified",
+        "guaranteed", "regime_notes",
+    ),
+    e1.PredictionRow: ("degree", "dim", "components", "moduli_dim"),
+    e1.StableRangeReport: (
+        "N", "max_stable_degree", "rows", "band_covers_gl", "stable_positive_dim",
+    ),
+    linalg.ExactMatrix: ("rows", "cols", "entries"),
+    params._Triple: ("d", "n", "N"),
+    points._Configuration: ("dimension", "points", "integer_points"),
+}
+
+
+def one_of_each_record() -> list:
+    """One instance of each class in RECORD_FIELDS and of its two validating subclasses."""
+    triple = ParameterTriple(5, 1, 3)
+    config = points.collinear_configuration(2, 3)
+    lemma = verify_codim_lemma(ParameterTriple(3, 1, 2), trials=2, seed=4, jobs=1)
+    page = e1.assemble_e1(triple)
+    stable_range = e1.stable_range_report(5, 1)
+    return [
+        cli.Report({"n": 1}, {"n": 1}, [("n",), (1,)], ["n = 1"]),
+        lemma.collinear,
+        lemma,
+        conditions.regularity_profile(config, 6),
+        page,
+        e1.dual_classes(page)[0],
+        e1.verify_stable_match(2),
+        e1.vanishing_band(triple),
+        stable_range.rows[0],
+        stable_range,
+        conditions.evaluation_matrix(2, config),
+        params._Triple(5, 1, 3),
+        points._Configuration(1, ((1, 0),), ((1, 0),)),
+        triple,
+        config,
+    ]
 
 
 def roundtrip(record):
@@ -37,6 +93,18 @@ def test_lemma_report_and_probe_pickle_and_compare_equal():
     assert type(copy) is CodimLemmaReport and type(copy.collinear) is CollinearProbe
     assert copy == report
     assert copy.collinear == report.collinear
+
+    records = one_of_each_record()
+    assert {type(record) for record in records} >= set(RECORD_FIELDS)
+    for record in records:
+        name = type(record).__name__
+        record_class = next(cls for cls in type(record).__mro__ if cls in RECORD_FIELDS)
+        assert record._fields == RECORD_FIELDS[record_class], name
+        copy = roundtrip(record)
+        assert type(copy) is type(record) and copy == record, name
+        assert not hasattr(record, "__dict__"), name
+    assert cli.Report._field_defaults == {"ok": True}
+    assert records[0].ok is True
 
 
 def test_result_records_carry_results_not_their_inputs():
