@@ -22,9 +22,9 @@ import json
 import os
 import random
 import sys
-from collections import namedtuple
 
 from . import __version__
+from ._record import record
 from .conditions import (
     StabilizationError,
     codimension,
@@ -53,7 +53,7 @@ from .tables import gl_cohomology, grassmannian_poincare, twisted_config_bm
 SEED_ENV_VAR = "STABLECOH_SEED"
 
 
-Report = namedtuple("Report", [
+Report = record("Report", [
     "params",    # dict
     "payload",   # dict
     "csv_rows",  # list[tuple]

@@ -4,13 +4,14 @@ Requiring a degree-d form to be singular at a point imposes n+1 linear
 conditions (one per partial derivative). Points that span less than P^n
 first split, by a linear change of coordinates, into blocks on their
 span. The blocks have three engines: for d >= 2N-1, the block-diagonal
-conditions of the lemma's witness forms; otherwise, or if a witness block
-fails, a stream of the nonzero condition columns into a rank certified mod
-p, each built when the rank reads it; and Bareiss elimination when that
-certificate fails. This module also compares the two degreewise squares of
-a point ideal (products of ideal elements versus order-two vanishing), and
-packages the randomized verification of the codimension stabilization at
-degree 2N-1 together with the collinear sharpness probe.
+conditions of the lemma's witness forms, each block shown of full rank by
+one exact elimination; otherwise, or if a witness block fails, a stream of
+the nonzero condition columns into a rank certified mod p, each built when
+the rank reads it; and Bareiss elimination when that certificate fails.
+This module also compares the two degreewise squares of a point ideal
+(products of ideal elements versus order-two vanishing), and packages the
+randomized verification of the codimension stabilization at degree 2N-1
+together with the collinear sharpness probe.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import os
 import random
 import sys
 from bisect import bisect_left
-from collections import namedtuple
 from collections.abc import Iterator
 from functools import cache, partial
 from math import prod
 from operator import add, getitem, mul
 
+from ._record import record
 from .linalg import ExactMatrix, _eliminate, certified_rank, integer_rank, kernel_basis
 from .monomials import enumerate_monomials, monomial_index
 from .params import ParameterTriple, coefficient_space_dim
@@ -157,8 +158,9 @@ def codimension(d: int, config: PointConfiguration) -> int:
     diagonal by support: the monomials free of Z give the same problem on
     P^(|I|-1) at the points' I-coordinates, which span it, and for each z
     in Z the monomials x_z * m give the evaluation matrix there at degree
-    d-1. For d >= 2N-1, full certified rank on every block of the witness
-    forms x_j * K_a (see _witness_blocks) proves rank N(n+1), the row count.
+    d-1. For d >= 2N-1, full rank by one exact elimination on each block of
+    the witness forms x_j * K_a (see _witness_blocks) proves rank N(n+1),
+    the row count, with no prime.
     Otherwise the nonzero columns are streamed and certified mod p: about
     N(n+1) of them at full row rank, and every one when the rank is below
     both the row count and the number of nonzero columns; there the pivot
@@ -177,7 +179,7 @@ def codimension(d: int, config: PointConfiguration) -> int:
         return codimension(d, dropped) + (n + 1 - len(support)) * certified_rank(values)
     if d >= 2 * config.count - 1:
         blocks = _witness_blocks(d, config)
-        if blocks is not None and all(certified_rank(b) == len(b) for b in blocks):
+        if blocks is not None and all(len(_eliminate(b, len(b))[1]) == len(b) for b in blocks):
             return rows
     return certified_rank(_singularity_columns(d, config))
 
@@ -306,7 +308,7 @@ def _map_trials(worker, seeds: list[int], jobs: int) -> list:
     return list(map(worker, seeds))
 
 
-CollinearProbe = namedtuple("CollinearProbe", [
+CollinearProbe = record("CollinearProbe", [
     "degree",             # int
     "points",             # list[list[str]]: as echoed, from PointConfiguration.json_points()
     "codimension",        # int
@@ -318,7 +320,7 @@ CollinearProbe = namedtuple("CollinearProbe", [
 ])
 CollinearProbe.__doc__ = "Codimension of the collinear probe configuration at degree 2N-2."
 
-CodimLemmaReport = namedtuple("CodimLemmaReport", [
+CodimLemmaReport = record("CodimLemmaReport", [
     "codimensions",     # tuple[int, ...]
     "counterexamples",  # tuple[dict, ...]
     "collinear",        # CollinearProbe | None
@@ -386,7 +388,7 @@ def verify_codim_lemma(
     )
 
 
-RegularityScan = namedtuple("RegularityScan", [
+RegularityScan = record("RegularityScan", [
     "stabilization_degree",  # int
     "target",                # int
     # dict[int, int]: read at d_max, the onset and below it; N(n+1) between by _onset

@@ -11,8 +11,9 @@ reproduce the exterior-algebra table of the general linear group.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 
+from ._record import record
 from .params import ParameterTriple, coefficient_space_dim
 from .tables import (MAX_E1_DIMENSION, GradedTateVector, check_e1_dimension, gaussian_binomial,
                      gl_cohomology, shifted_grassmannian)
@@ -24,7 +25,7 @@ from .tables import (MAX_E1_DIMENSION, GradedTateVector, check_e1_dimension, gau
 MAX_E1_POINTS = 100_000
 
 
-class E1Page(namedtuple("E1Page", [
+class E1Page(record("E1Page", [
     "coefficient_dim",  # int
     "columns",          # dict[int, GradedTateVector]: column l -> its Borel-Moore table
     "fn_threshold",     # int: BM degree from which column N cannot contribute
@@ -86,7 +87,7 @@ def assemble_e1(params: ParameterTriple) -> E1Page:
     )
 
 
-class DualClass(namedtuple("DualClass", [
+class DualClass(record("DualClass", [
     "column",       # int
     "bm_degree",    # int
     "dual_degree",  # int
@@ -132,7 +133,7 @@ def alexander_dual(page: E1Page) -> GradedTateVector:
     )
 
 
-StableMatchReport = namedtuple("StableMatchReport", [
+StableMatchReport = record("StableMatchReport", [
     "n",                # int
     "matched",          # bool
     "stratum_degrees",  # dict[int, int]
@@ -184,7 +185,7 @@ def verify_stable_match(n: int) -> StableMatchReport:
     )
 
 
-BandReport = namedtuple("BandReport", [
+BandReport = record("BandReport", [
     "coefficient_dim",  # int
     "band",             # tuple[int, int]: open interval of cohomological degrees
     "bm_window",        # tuple[int, int]: closed interval of BM degrees that must be empty
@@ -223,7 +224,7 @@ def vanishing_band(params: ParameterTriple) -> BandReport:
     )
 
 
-PredictionRow = namedtuple("PredictionRow", [
+PredictionRow = record("PredictionRow", [
     "degree",      # int
     "dim",         # int
     "components",  # tuple[tuple[int, int, int, int], ...]: (dim, tate, weight, factors)
@@ -231,7 +232,7 @@ PredictionRow = namedtuple("PredictionRow", [
 ])
 PredictionRow.__doc__ = "Predicted cohomology of the non-singular locus in one stable degree."
 
-StableRangeReport = namedtuple("StableRangeReport", [
+StableRangeReport = record("StableRangeReport", [
     "N",                    # int
     "max_stable_degree",    # int
     "rows",                 # tuple[PredictionRow, ...]

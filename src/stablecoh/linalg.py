@@ -31,10 +31,11 @@ byte-identical for identical inputs.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from math import gcd
 from operator import mul
+
+from ._record import record
 
 # The largest prime below 2^30: every residue fits in one CPython digit, which
 # keeps the elimination loop on single-digit integers.
@@ -219,7 +220,7 @@ def kernel_basis(rows: Sequence[Sequence[int]], n_cols: int) -> tuple[tuple[int,
     return tuple(basis)
 
 
-ExactMatrix = namedtuple("ExactMatrix", [
+ExactMatrix = record("ExactMatrix", [
     "rows",     # int
     "cols",     # int
     "entries",  # tuple[tuple[int, ...], ...]

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from collections import namedtuple
 from math import comb
+
+from ._record import record
 
 
 def coefficient_space_dim(d: int, n: int) -> int:
@@ -21,7 +22,7 @@ def check_dimension_and_count(n: int, N: int) -> None:
         raise ValueError(f"point count must be >= 1, got {N}")
 
 
-_Triple = namedtuple("_Triple", ["d", "n", "N"])  # three ints
+_Triple = record("_Triple", ["d", "n", "N"])  # three ints
 
 
 class ParameterTriple(_Triple):

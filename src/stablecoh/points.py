@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import json
 import re
-from collections import namedtuple
 from collections.abc import Sequence
 from itertools import combinations
 from math import gcd, lcm
 
+from ._record import record
 from .linalg import _eliminate
 
 # Annotations are strings, so their names need not exist at run time: Coord is
@@ -60,7 +60,7 @@ def _normal_form(point: Sequence[Coord]) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-_Configuration = namedtuple("_Configuration", [
+_Configuration = record("_Configuration", [
     "dimension",       # int
     "points",          # tuple[Point, ...]
     # tuple[tuple[int, ...], ...]: the normal form of each point, in the same order;

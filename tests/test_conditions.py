@@ -624,11 +624,12 @@ def test_sampled_lemma_trials_never_fall_back(d, n, N, columns_read, certificate
 
 def test_witness_certifies_points_equal_mod_p(columns_read, bareiss_calls):
     # (1, 0) and (1, p): each K_a(p_a) is p^2, so each block is singular mod
-    # p, and Bareiss proves its full rank over Q without the stream.
+    # p. The blocks are decided by exact elimination over Z, with no prime,
+    # so neither the stream nor the Bareiss fallback runs.
     cfg = PointConfiguration(1, ((1, 0), (1, PRIME)))
     assert codimension(3, cfg) == 4
     assert columns_read == []
-    assert bareiss_calls == [(2, 2), (2, 2)]
+    assert bareiss_calls == []
 
 
 def test_failed_witness_falls_back_to_the_stream(monkeypatch, columns_read):

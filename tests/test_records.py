@@ -3,6 +3,7 @@
 import ast
 import pickle
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,6 +104,31 @@ def test_lemma_report_and_probe_pickle_and_compare_equal():
         copy = roundtrip(record)
         assert type(copy) is type(record) and copy == record, name
         assert not hasattr(record, "__dict__"), name
+        # The namedtuple contract, on the record class itself: the validating
+        # subclasses take other arguments.
+        fields, values = record_class._fields, tuple(record)
+        by_name = record_class(**dict(zip(fields, values)))
+        assert type(by_name) is record_class and by_name == record_class(*values) == values, name
+        required = len(fields) - len(record_class._field_defaults)
+        assert record_class(*values[:required])[required:] == tuple(
+            record_class._field_defaults.values()), name
+        for args, kwargs in [(values[:required - 1], {}),
+                             ((), dict(zip(fields[1:], values[1:]))),
+                             (values, {"unknown": 0}),
+                             (values[:1], {fields[0]: values[0]})]:
+            with pytest.raises(TypeError):
+                record_class(*args, **kwargs)
+        assert record_class._make(iter(values)) == values, name
+        with pytest.raises(TypeError):
+            record_class._make(values[:-1])
+        replaced = by_name._replace(**{fields[-1]: "new"})
+        assert type(replaced) is record_class and replaced == values[:-1] + ("new",), name
+        assert by_name._asdict() == dict(zip(fields, values)), name
+        assert record_class.__match_args__ == fields, name
+        shown = ", ".join(f"{field}={value!r}" for field, value in zip(fields, replaced))
+        assert repr(replaced) == f"{record_class.__name__}({shown})", name
+        # pickle finds the class by its module and name.
+        assert vars(sys.modules[record_class.__module__])[record_class.__name__] is record_class
     assert cli.Report._field_defaults == {"ok": True}
     assert records[0].ok is True
 

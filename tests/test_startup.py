@@ -49,6 +49,24 @@ def test_cli_import_leaves_pool_dataclass_and_fraction_modules_unloaded():
         assert {f"stablecoh.{short}" for short in SUBMODULES} <= loaded
 
 
+def test_cli_import_compiles_no_source():
+    # Under -S, functools builds its own namedtuple, compiling source, on
+    # import; the standard-library modules stablecoh uses are loaded before
+    # the hook, so only compile() calls made by stablecoh itself are seen.
+    code = (
+        "import argparse, bisect, collections.abc, functools, io, itertools, json, math,"
+        " operator, os, random, re, sys\n"
+        "compiled = []\n"
+        "sys.addaudithook(lambda event, args: event == 'compile' and args[1] == '<string>'"
+        " and compiled.append(str(args[0])))\n"
+        "import stablecoh.cli\n"
+        "print(json.dumps(compiled))\n"
+    )
+    result = run_python(code, flags=("-S",))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
+
+
 def test_pool_class_is_loaded_on_first_use():
     code = (
         "import sys\n"
