@@ -2,7 +2,7 @@
 
 One subcommand per verifiable artifact, declared in the COMMANDS table. Each
 handler builds one Report from the library's plain records, which `emit`
-renders as JSON, CSV or a table, so all three formats live in this module.
+writes as JSON, CSV or a table, so all three formats live in this module.
 Every report embeds the parameters, the effective seed, and the library
 version; JSON output is byte-identical for identical (subcommand, flags,
 seed) regardless of --jobs, because trial seeds are derived up front and
@@ -10,14 +10,13 @@ aggregation is order-independent. Exit codes are the machine contract: 0
 computed/verified, 1 falsified or unverified, 2 usage error. `main` returns
 the code and never ends the process; `entrypoint`, which `python -m
 stablecoh` and the `stablecoh` script run, flushes the report and exits with
-it, skipping interpreter teardown. A report that meets a closed pipe, in its
-write or its flush, exits 120 through the normal shutdown instead.
+it, skipping interpreter teardown. A report that meets a closed pipe, in a
+write or the flush, exits 120 through the normal shutdown instead.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import random
@@ -126,39 +125,39 @@ def _check_output(path: str) -> None:
         os.remove(path)
 
 
-def emit(args, seed: int, seed_source: str, report: Report) -> None:
-    if args.format == "json":
-        envelope = {
-            "artifact": "stablecoh",
-            "version": __version__,
-            "command": args.command,
-            "params": report.params,
-            "seed": seed,
-            "seed_source": seed_source,
-            "report": report.payload,
-        }
-        text = json.dumps(envelope, indent=2) + "\n"
-    elif args.format == "csv":
-        import csv
+def _render_json(out, args, seed: int, seed_source: str, report: Report) -> None:
+    envelope = {"artifact": "stablecoh", "version": __version__, "command": args.command,
+                "params": report.params, "seed": seed, "seed_source": seed_source,
+                "report": report.payload}
+    json.dump(envelope, out, indent=2)
+    out.write("\n")
 
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(report.csv_rows)
-        text = buf.getvalue()
-    else:
-        header = [
-            f"stablecoh {__version__} {args.command}",
-            "params: " + " ".join(f"{k}={v}" for k, v in report.params.items()),
-            f"seed: {seed} ({seed_source})",
-        ]
-        text = "\n".join(header + report.lines) + "\n"
+
+def _render_csv(out, args, seed: int, seed_source: str, report: Report) -> None:
+    import csv
+    csv.writer(out, lineterminator="\n").writerows(report.csv_rows)
+
+
+def _render_table(out, args, seed: int, seed_source: str, report: Report) -> None:
+    header = [
+        f"stablecoh {__version__} {args.command}",
+        "params: " + " ".join(f"{k}={v}" for k, v in report.params.items()),
+        f"seed: {seed} ({seed_source})",
+    ]
+    out.write("\n".join(header + report.lines) + "\n")
+
+
+def emit(args, seed: int, seed_source: str, report: Report) -> None:
+    """Render the report straight into stdout, or into --output, holding no copy of it."""
+    render = {"json": _render_json, "csv": _render_csv, "table": _render_table}[args.format]
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                render(fh, args, seed, seed_source, report)
         except OSError as exc:
             raise ValueError(f"cannot write report: {exc}") from None
     else:
-        sys.stdout.write(text)
+        render(sys.stdout, args, seed, seed_source, report)
 
 
 def _failed(params: dict, payload: dict) -> Report:
@@ -520,8 +519,8 @@ def entrypoint() -> None:
     The report is complete once the streams are flushed: a worker pool is
     joined and --output closed before main() returns, so the final garbage
     collection and module clearing would only cost time. A closed pipe, met
-    by the flush or, for a report larger than the stdout buffer, by emit's
-    write, ends the process through the normal shutdown with exit 120.
+    by the flush or, for a report larger than the stdout buffer, by one of
+    emit's writes, ends the process through the normal shutdown with exit 120.
     """
     try:
         code = main()

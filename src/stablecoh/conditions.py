@@ -265,11 +265,11 @@ def hilbert_function(d: int, config: PointConfiguration, mode: str = "symbolic")
 
 
 # Most trials verify_codim_lemma and general_position_bound accept. Every
-# trial's seed and integer result are held until the report is built:
-# verify-lemma 15/3/8 --format json grows by about 0.9 KB a trial, and took
-# 18 s and 33 MB peak RSS at 20,000 trials with --jobs 1 (Python 3.11, 2
-# vCPUs), and 96 s and 106 MB at the limit, which bounds time more than
-# memory. Every golden, benchmark and roadmap figure uses at most 2,000
+# trial's seed and result are held until the report is built: verify-lemma
+# 15/3/8 --jobs 1 --format json grows by about 0.34 KB a trial, and took
+# 10 s and 21 MB peak RSS at 20,000 trials, and 45-55 s and 48 MB at the
+# limit (Python 3.11, 2 vCPUs, started from a small process), so time binds,
+# not memory. Every golden, benchmark and roadmap figure uses at most 2,000
 # trials. More raise ValueError (exit 2 in the CLI) before any seed is derived.
 MAX_TRIALS = 100_000
 

@@ -10,7 +10,9 @@ signed counts of Frobenius-stable subsets from orbit counts by Moebius
 inversion, the ranks of singularity conditions over a prime field from
 an elimination written here, stabilization degrees by reading a Hilbert
 function at every degree from the top down, and invariance under linear
-changes of coordinates by unimodular matrices drawn and checked here.
+changes of coordinates by unimodular matrices drawn and checked here, and
+the regularity of the ideal of points from evaluation ranks over a second
+prime field.
 """
 
 from __future__ import annotations
@@ -195,6 +197,23 @@ def rank_mod_p(rows: list[list[int]], p: int) -> int:
                 rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def points_regularity(points: list[tuple[int, ...]]) -> int:
+    """reg(I) = t + 1 for the ideal I of distinct points, by evaluation ranks.
+
+    t is the least degree at which the points impose N conditions: where the
+    matrix of every degree-t monomial at every point has rank N. The rank is
+    read over F_p for p = 2^61 - 1. It is never above the rank over Q, so t
+    is never read too low.
+    """
+    n = len(points[0]) - 1
+    t = 0
+    while rank_mod_p([[prod(point[i] for i in support)
+                       for support in combinations_with_replacement(range(n + 1), t)]
+                      for point in points], 2**61 - 1) < len(points):
+        t += 1
+    return t + 1
 
 
 def count_invertible_matrices(m: int, p: int) -> int:

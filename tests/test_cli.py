@@ -3,6 +3,8 @@
 import argparse
 import json
 import os
+import sys
+import tracemalloc
 import warnings
 from importlib import resources
 from math import comb
@@ -343,6 +345,48 @@ def test_failed_run_creates_no_output_and_keeps_an_existing_one(capsys, tmp_path
     assert main(too_large + [str(target)]) == 2
     assert target.read_bytes() == b"earlier report\n"
     assert "too large" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_output_that_fails_after_the_open_is_a_usage_error(fmt, capsys):
+    # /dev/full opens for writing, and every write to it fails.
+    code = main(["gl-cohomology", "--n", "14", "--format", fmt, "--output", "/dev/full"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "stablecoh: error: cannot write report: [Errno 28] No space left on device\n")
+
+
+class NullText:
+    """A text stream that keeps nothing written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_json_emission_holds_no_copy_of_the_report(monkeypatch):
+    # A verify-lemma report of 10,000 trials, built directly: its JSON has
+    # about 600 KB, and encoding it whole before the write peaks near 5 MB.
+    trials = 10_000
+    payload = {
+        "expected_codimension": 32,
+        "in_guaranteed_range": True,
+        "results": [{"trial": i, "codimension": 32} for i in range(trials)],
+        "counterexamples": [],
+        "collinear_probe": None,
+        "verified": True,
+        "trials": trials,
+    }
+    report = cli.Report({"d": 15, "n": 3, "N": 8, "trials": trials}, payload, [], [])
+    args = argparse.Namespace(command="verify-lemma", format="json", output=None)
+    monkeypatch.setattr(sys, "stdout", NullText())
+    tracemalloc.start()
+    try:
+        cli.emit(args, 0, "default", report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_e1_page_outside_regime_writes_nothing_to_stderr(capsys):

@@ -39,6 +39,7 @@ from stablecoh.points import (
 from oracles import (
     downward_regularity_scan,
     linear_invariance_violations,
+    points_regularity,
     projective_points_mod_p,
     rank_mod_p,
     singularity_rows_mod_p,
@@ -895,6 +896,36 @@ def test_ordinary_square_is_exact_rank_of_products(monkeypatch):
         [(rows, bound)] = seen
         assert bound == upper == symbolic_square_dim(d, cfg)
         assert sympy_rank(rows) == dim
+
+
+def square_regularity_cases():
+    """(d, cfg) at 2·reg(I) and 2·reg(I) + 1, for n <= 3 and N <= 6."""
+    for n in range(1, 4):
+        for N in range(1, 7):
+            configs = [random_configuration(n, N, random.Random(f"reg {n} {N}"))]
+            # Five or more collinear points of P^3 reach d = 10, past the size guard.
+            configs += [collinear_configuration(n, N)] if n < 3 or N < 5 else []
+            configs += [coordinate_configuration(n, N)] if N <= n + 1 else []
+            for cfg in configs:
+                reg = points_regularity(cfg.integer_points)
+                yield from ((d, cfg) for d in (2 * reg, 2 * reg + 1))
+
+
+def test_ordinary_square_meets_the_symbolic_from_twice_the_regularity():
+    # reg(I^2) <= 2·reg(I) for the ideal I of points: Chandler, Comm. Algebra
+    # 25 (1997); Geramita, Gimigliano and Pitteloud, Math. Ann. 301 (1995).
+    # I^2 saturates to I^(2), and an ideal agrees with its saturation from
+    # its regularity on, so dim I^2_d = dim I^(2)_d for every d >= 2·reg(I).
+    cases = list(square_regularity_cases())
+    # The benchmark's hilbert sizes (d, n, N), on the configurations of seeds 0 and 1.
+    for d, n, N in [(8, 2, 4), (7, 3, 4)]:
+        for seed in (0, 1):
+            cfg = random_configuration(n, N, random.Random(seed))
+            assert d >= 2 * points_regularity(cfg.integer_points)
+            cases.append((d, cfg))
+    assert len(cases) == 90
+    for d, cfg in cases:
+        assert ordinary_square_dim(d, cfg) == symbolic_square_dim(d, cfg), (d, cfg)
 
 
 # --- Hilbert functions ----------------------------------------------------------
