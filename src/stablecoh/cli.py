@@ -7,11 +7,10 @@ Every report embeds the parameters, the effective seed, and the library
 version; JSON output is byte-identical for identical (subcommand, flags,
 seed) regardless of --jobs, because trial seeds are derived up front and
 aggregation is order-independent. Exit codes are the machine contract: 0
-computed/verified, 1 falsified or unverified, 2 usage error. `main` returns
-the code and never ends the process; `entrypoint`, which `python -m
-stablecoh` and the `stablecoh` script run, flushes the report and exits with
-it, skipping interpreter teardown. A report that meets a closed pipe, in a
-write or the flush, exits 120 through the normal shutdown instead.
+computed/verified, 1 falsified or unverified, 2 usage error or a report that
+cannot be written, 120 a closed pipe. `main` returns the code and never ends
+the process; `entrypoint`, which `python -m stablecoh` and the `stablecoh`
+script run, exits with it, skipping interpreter teardown.
 """
 
 from __future__ import annotations
@@ -148,16 +147,22 @@ def _render_table(out, args, seed: int, seed_source: str, report: Report) -> Non
 
 
 def emit(args, seed: int, seed_source: str, report: Report) -> None:
-    """Render the report straight into stdout, or into --output, holding no copy of it."""
+    """Render the report into --output or stdout and flush it, holding no copy of it.
+
+    A closed pipe raises BrokenPipeError; any other failed write is a usage error.
+    """
     render = {"json": _render_json, "csv": _render_csv, "table": _render_table}[args.format]
-    if args.output:
-        try:
+    try:
+        if args.output:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 render(fh, args, seed, seed_source, report)
-        except OSError as exc:
-            raise ValueError(f"cannot write report: {exc}") from None
-    else:
-        render(sys.stdout, args, seed, seed_source, report)
+        else:
+            render(sys.stdout, args, seed, seed_source, report)
+            sys.stdout.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise ValueError(f"cannot write report: {exc}") from None
 
 
 def _failed(params: dict, payload: dict) -> Report:
@@ -514,23 +519,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    """Run main() as a process: flush the streams, then exit without teardown.
+    """Run main() as a process and exit with its code, skipping interpreter teardown.
 
-    The report is complete once the streams are flushed: a worker pool is
-    joined and --output closed before main() returns, so the final garbage
-    collection and module clearing would only cost time. A closed pipe, met
-    by the flush or, for a report larger than the stdout buffer, by one of
-    emit's writes, ends the process through the normal shutdown with exit 120.
+    stdout goes out in 8 KB blocks whatever PYTHONUNBUFFERED says, and emit
+    flushes it, so the report is complete once main() returns: a worker pool is
+    joined and --output closed by then. A closed pipe exits 120.
     """
+    sys.stdout.reconfigure(write_through=False)
     try:
         code = main()
     except BrokenPipeError:
-        sys.exit(120)
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except OSError:
-        sys.exit(code)
+        code = 120
     os._exit(code)
 
 

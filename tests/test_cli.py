@@ -131,6 +131,8 @@ def test_codim_dimension_mismatch_is_usage_error(capsys):
 def test_exit_two_on_usage_error(capsys):
     code, _ = run_cli(capsys, ["codim", "--d", "3"])
     assert code == 2
+    assert main(["codim", "--d", "3", "--N", "3"]) == 2
+    assert "--n is required when sampling points" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["verify-lemma", "--d", "3"])  # missing required flags
     assert exc.value.code == 2
@@ -175,6 +177,10 @@ def test_top_level_usage_errors(argv, message, capsys, monkeypatch):
     ["codim", "--d", "3", "--n", "2", "--N", "0"],
     ["hilbert", "--d", "3", "--n", "-1", "--N", "2"],
     ["d0-scan", "--n", "2", "--N", "0"],
+    ["verify-lemma", "--d", "15", "--n", "3", "--N", "8", "--trials", "0"],
+    ["d0-scan", "--n", "3", "--N", "6", "--trials", "0"],
+    ["d0-scan", "--n", "3", "--N", "6", "--d-max", "0"],
+    ["stable-range", "--d", "5", "--n", "0"],
 ])
 def test_sampling_refuses_dimension_or_count_below_one(capsys, argv):
     code = main(argv + ["--jobs", "1"])
@@ -362,6 +368,9 @@ class NullText:
 
     def write(self, text):
         return len(text)
+
+    def flush(self):
+        pass
 
 
 def test_json_emission_holds_no_copy_of_the_report(monkeypatch):

@@ -536,10 +536,10 @@ SPLIT_MUTATIONS = {
 }
 
 
-def value_or_error(module, d, cfg):
-    """codimension's value, or the ValueError it raised: either can fail the oracle."""
+def value_or_error(function, d, cfg):
+    """function(d, cfg), or the ValueError it raised: either can fail an oracle."""
     try:
-        return module.codimension(d, cfg)
+        return function(d, cfg)
     except ValueError as exc:
         return str(exc)
 
@@ -547,7 +547,8 @@ def value_or_error(module, d, cfg):
 @pytest.mark.parametrize("old, new", SPLIT_MUTATIONS.values(), ids=SPLIT_MUTATIONS)
 def test_split_mutants_fail_the_oracle(old, new, split_oracle):
     mutant = mutant_conditions(old, new)
-    assert any(value_or_error(mutant, d, cfg) != rank for d, cfg, rank in split_oracle)
+    assert any(value_or_error(mutant.codimension, d, cfg) != rank
+               for d, cfg, rank in split_oracle)
 
 
 @pytest.mark.parametrize("old, new", BLOCK_MUTATIONS.values(), ids=BLOCK_MUTATIONS)
@@ -926,6 +927,27 @@ def test_ordinary_square_meets_the_symbolic_from_twice_the_regularity():
     assert len(cases) == 90
     for d, cfg in cases:
         assert ordinary_square_dim(d, cfg) == symbolic_square_dim(d, cfg), (d, cfg)
+
+
+SQUARE_MUTATIONS = {
+    "one-coefficient-dropped": ("+= ga * hb", "+= hb"),
+    "middle-split-dropped": ("range(1, d // 2 + 1):", "range(1, (d + 1) // 2):"),
+    "bound-one-short": ("integer_rank(list(products), bound)",
+                        "integer_rank(list(products), bound - 1)"),
+}
+
+
+@pytest.fixture(scope="module")
+def square_oracle():
+    """(d, cfg, dim I^(2)_d) on the cases where the two squares agree."""
+    return [(d, cfg, symbolic_square_dim(d, cfg)) for d, cfg in square_regularity_cases()]
+
+
+@pytest.mark.parametrize("old, new", SQUARE_MUTATIONS.values(), ids=SQUARE_MUTATIONS)
+def test_square_mutants_fail_the_oracle(old, new, square_oracle):
+    mutant = mutant_conditions(old, new)
+    assert any(value_or_error(mutant.ordinary_square_dim, d, cfg) != dim
+               for d, cfg, dim in square_oracle)
 
 
 # --- Hilbert functions ----------------------------------------------------------
