@@ -25,6 +25,7 @@ from . import __version__
 from ._record import record
 from .conditions import (
     StabilizationError,
+    available_cpus,
     codimension,
     general_position_bound,
     hilbert_function,
@@ -489,8 +490,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "table"), default="table")
         p.add_argument("--output", default=None, help="write the report to this path")
         # Accepted everywhere; only verify-lemma and d0-scan start workers.
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="worker processes for independent trials")
+        p.add_argument("--jobs", type=int, default=available_cpus(),
+                       help="most worker processes for independent trials")
         if seeded:
             p.add_argument("--seed", type=int, default=None,
                            help=f"RNG seed (default 0, or ${SEED_ENV_VAR})")

@@ -3,15 +3,18 @@
 Requiring a degree-d form to be singular at a point imposes n+1 linear
 conditions (one per partial derivative). Points that span less than P^n
 first split, by a linear change of coordinates, into blocks on their
-span. The blocks have three engines: for d >= 2N-1, the block-diagonal
+span. The blocks have four engines: for d >= 2N-1, the block-diagonal
 conditions of the lemma's witness forms, each block shown of full rank by
-one exact elimination; otherwise, or if a witness block fails, a stream of
-the nonzero condition columns into a rank certified mod p, each built when
-the rank reads it; and Bareiss elimination when that certificate fails.
-This module also compares the two degreewise squares of a point ideal
-(products of ideal elements versus order-two vanishing), and packages the
-randomized verification of the codimension stabilization at degree 2N-1
-together with the collinear sharpness probe.
+one exact elimination; for 3 <= d < 2N-1, the points' own frame, which
+takes (n+1)^2 of the rank unread and a rank mod p of the rest that is
+exact when it meets its bound; otherwise, or if neither proves the rank, a
+stream of the nonzero condition columns into a rank certified mod p, each
+built when the rank reads it; and Bareiss elimination when that
+certificate fails. This module also compares the two degreewise squares of
+a point ideal (products of ideal elements versus order-two vanishing), and
+packages the randomized verification of the codimension stabilization at
+degree 2N-1 together with the collinear sharpness probe, whose trials
+start a process pool only once they outlast its start-up.
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ from collections.abc import Iterator
 from functools import cache, partial
 from math import prod
 from operator import add, getitem, mul
+from time import perf_counter
 
 from ._record import record
-from .linalg import ExactMatrix, _eliminate, certified_rank, integer_rank, kernel_basis
+from .linalg import (ExactMatrix, _eliminate, _kernel, _modular_rank, certified_rank,
+                     integer_rank, kernel_basis)
 from .monomials import enumerate_monomials, monomial_index
 from .params import ParameterTriple, coefficient_space_dim
 from .points import (
@@ -71,7 +76,8 @@ def _monomial_values(point: tuple[int, ...], e: int, n: int) -> list[int]:
     return [prod(map(getitem, pows, exps)) for exps in enumerate_monomials(e, n)]
 
 
-def _singularity_columns(d: int, config: PointConfiguration) -> Iterator[list[int]]:
+def _singularity_columns(d: int, config: PointConfiguration,
+                         framed: bool = False) -> Iterator[list[int]]:
     """The nonzero columns of the singularity conditions, each built when it is read.
 
     One row per (point, variable i), one column per degree-d monomial e: the
@@ -82,7 +88,8 @@ def _singularity_columns(d: int, config: PointConfiguration) -> Iterator[list[in
     Column e is nonzero exactly when e has degree <= 1 on the coordinates
     vanishing at some point; one walk over the degree-d monomials skips the
     zero columns. Each degree-(d-1) value is computed at every point when a
-    column first reads it.
+    column first reads it. Framed, the columns of the monomials with an
+    exponent >= d-1 are skipped too: the coordinate points' own (see _frame_rank).
     """
     n = config.dimension
     order = sorted(range(n + 1), key=lambda i: sum(not p[i] for p in config.integer_points))
@@ -94,6 +101,8 @@ def _singularity_columns(d: int, config: PointConfiguration) -> Iterator[list[in
     values: dict[tuple[int, ...], list[int]] = {}  # lower monomial -> values at the points
     no_partial = [0] * len(points)  # scaled by e_i = 0 where x_i is absent from e
     for e in enumerate_monomials(d, n):
+        if framed and max(e) >= d - 1:
+            continue
         if zero_sets and all(sum(e[i] for i in z) > 1 for z in zero_sets):
             continue
         partials = []
@@ -147,6 +156,31 @@ def _witness_blocks(d: int, config: PointConfiguration) -> list[list[list[int]]]
     return blocks
 
 
+def _frame_rank(d: int, config: PointConfiguration) -> int | None:
+    """The codimension of points spanning P^n at d >= 3, on their own frame; None if unproven.
+
+    The frame is n+1 independent points, the pivot columns of one elimination
+    of the points taken as columns, with A their matrix. The integer change of
+    coordinates adj(A) moves them to the coordinate points e_k and every other
+    point q to the normal form of adj(A).q, which the kernel vector of q gives
+    up to scale; the rank does not change. At e_k, row (e_k, i) has one
+    nonzero entry, in column x_k^(d-1) x_i, and for d >= 3 these (n+1)^2
+    columns are distinct: exactly the monomials with an exponent >= d-1. So
+    the codimension is (n+1)^2 plus the rank of the other points' rows on the
+    other columns. That block is streamed mod p; its rank is exact when it
+    meets min(rows, columns read). Below that it is None, and codimension
+    certifies on the input coordinates, whose entries are smaller.
+    """
+    n = config.dimension
+    peeled = (n + 1) ** 2
+    if config.count == n + 1:
+        return peeled
+    frame, kernel = _kernel(list(zip(*config.integer_points)), config.count)
+    others = PointConfiguration(n, tuple(tuple(v[k] for k in frame) for v in kernel))
+    _, pivots, bound = _modular_rank(_singularity_columns(d, others, framed=True))
+    return peeled + bound if len(pivots) == bound else None
+
+
 def codimension(d: int, config: PointConfiguration) -> int:
     """Number of independent conditions the singularities impose in degree d.
 
@@ -160,7 +194,9 @@ def codimension(d: int, config: PointConfiguration) -> int:
     in Z the monomials x_z * m give the evaluation matrix there at degree
     d-1. For d >= 2N-1, full rank by one exact elimination on each block of
     the witness forms x_j * K_a (see _witness_blocks) proves rank N(n+1),
-    the row count, with no prime.
+    the row count, with no prime. For 3 <= d < 2N-1, the points' own frame
+    gives (n+1)^2 of the rank with no column read, and the other points'
+    block a rank mod p that is exact if it meets its bound (see _frame_rank).
     Otherwise the nonzero columns are streamed and certified mod p: about
     N(n+1) of them at full row rank, and every one when the rank is below
     both the row count and the number of nonzero columns; there the pivot
@@ -181,6 +217,8 @@ def codimension(d: int, config: PointConfiguration) -> int:
         blocks = _witness_blocks(d, config)
         if blocks is not None and all(len(_eliminate(b, len(b))[1]) == len(b) for b in blocks):
             return rows
+    elif d >= 3 and (framed := _frame_rank(d, config)) is not None:
+        return framed
     return certified_rank(_singularity_columns(d, config))
 
 
@@ -295,17 +333,44 @@ def _codim_trial(d: int, n: int, N: int, trial_seed: int) -> int:
     return codimension(d, random_configuration(n, N, random.Random(trial_seed)))
 
 
+# How long this process runs trials itself before it starts a pool. Importing
+# concurrent.futures, starting two workers and shutting them down took about
+# 31 ms on 2 vCPUs (Python 3.11), and a pool only pays for itself on trials
+# that outlast that, so the head start is a little above it.
+POOL_START_S = 0.05
+
+
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _map_trials(worker, seeds: list[int], jobs: int) -> list:
-    """worker(seed) for each trial seed, in order: a trial is its seed, its result one integer."""
+    """worker(seed) for each trial seed, in order: a trial is its seed, its result one integer.
+
+    With more than one worker allowed, this process first runs the trials in
+    order until all are done or they have taken POOL_START_S, and only the
+    rest go to a pool: rent until the rent reaches the price, then buy
+    (Karlin, Manasse, Rudolph and Sleator, Competitive snoopy caching, 1988).
+    Results and the first error raised are those of a serial run.
+    """
+    cpus = available_cpus()
+    results = []
+    if min(jobs, cpus) > 1:
+        start = perf_counter()
+        while len(results) < len(seeds) and perf_counter() - start < POOL_START_S:
+            results.append(worker(seeds[len(results)]))
+    rest = seeds[len(results):]
     # A fork-started pool launches all max_workers processes on the first
     # submit, so never ask for more than there are tasks or CPUs.
-    workers = min(jobs, len(seeds), os.cpu_count() or 1)
+    workers = min(jobs, len(rest), cpus)
     if workers > 1:
-        chunk = max(1, len(seeds) // (workers * 4))
+        chunk = max(1, len(rest) // (workers * 4))
         pool_class = sys.modules[__name__].ProcessPoolExecutor
         with pool_class(max_workers=workers) as pool:
-            return list(pool.map(worker, seeds, chunksize=chunk))
-    return list(map(worker, seeds))
+            return results + list(pool.map(worker, rest, chunksize=chunk))
+    return results + list(map(worker, rest))
 
 
 CollinearProbe = record("CollinearProbe", [

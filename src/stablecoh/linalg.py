@@ -152,6 +152,21 @@ def _rank_certificate(
     return columns, pivot_rows, pivot_cols, kernel
 
 
+def _modular_rank(
+    columns: Iterable[Sequence[int]], upper: int | None = None
+) -> tuple[list[Sequence[int]], list[tuple[int, int]], int]:
+    """The columns read, their pivots mod PRIME, and the bound min(rows, columns read, upper).
+
+    Reading stops at rank upper + 1, or as modular_column_rank stops. A rank
+    mod p that meets the bound is exact; below it, it is only a lower bound.
+    """
+    kept: list[Sequence[int]] = []
+    stream = (kept.append(c) or c for c in columns)
+    pivots = modular_column_rank(stream, None if upper is None else upper + 1)
+    n_rows = len(kept[0]) if kept else 0
+    return kept, pivots, min(n_rows, len(kept), len(kept) if upper is None else upper)
+
+
 def certified_rank(columns: Iterable[Sequence[int]], upper: int | None = None) -> int:
     """Exact rank over the rationals of an integer matrix given column by column.
 
@@ -165,14 +180,10 @@ def certified_rank(columns: Iterable[Sequence[int]], upper: int | None = None) -
     min(rows, columns) - r; only if the kernel check fails does Bareiss
     decide, in the orientation with fewer rows.
     """
-    kept: list[Sequence[int]] = []
-    stream = (kept.append(c) or c for c in columns)
-    pivots = modular_column_rank(stream, None if upper is None else upper + 1)
+    kept, pivots, bound = _modular_rank(columns, upper)
     rank = len(pivots)
-    n_rows = len(kept[0]) if kept else 0
-    bound = min(n_rows, len(kept), len(kept) if upper is None else upper)
     if rank < bound and _rank_certificate(kept, pivots) is None:
-        rank = bareiss_rank(kept if len(kept) < n_rows else list(zip(*kept)))
+        rank = bareiss_rank(kept if len(kept) < len(kept[0]) else list(zip(*kept)))
     if rank > bound:
         raise ValueError(f"rank {rank} exceeds the claimed upper bound {upper}")
     return rank
@@ -203,6 +214,13 @@ def kernel_basis(rows: Sequence[Sequence[int]], n_cols: int) -> tuple[tuple[int,
     each division is exact. That vector is the unique kernel vector with
     these free coordinates, so the basis is deterministic byte for byte.
     """
+    return _kernel(rows, n_cols)[1]
+
+
+def _kernel(
+    rows: Sequence[Sequence[int]], n_cols: int
+) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """The pivot columns of the elimination and the kernel basis it gives; see kernel_basis."""
     m, pivots, last = _eliminate(rows, n_cols)
     scale = abs(last)
     pivot_set = set(pivots)
@@ -217,7 +235,7 @@ def kernel_basis(rows: Sequence[Sequence[int]], n_cols: int) -> tuple[tuple[int,
             later = sum(row[c] * v[c] for c in pivots[r + 1:])
             v[col] = -(row[free] * scale + later) // row[col]
         basis.append(primitive_vector(v))
-    return tuple(basis)
+    return pivots, tuple(basis)
 
 
 ExactMatrix = record("ExactMatrix", [

@@ -3,7 +3,8 @@
 Nothing here shares code with the library paths under test: subspaces are
 counted by explicit row-echelon enumeration over the two-element field,
 condition ranks are recomputed with sympy's own differentiation and rank,
-kernel bases come from sympy's nullspace, rank certificates are checked
+the ranks on the points' own frame with sympy's adjugate and domain-matrix
+rank, kernel bases come from sympy's nullspace, rank certificates are checked
 with sympy determinants and products, and point counts over prime fields
 come from the group-order formula or from enumerating matrices and forms,
 signed counts of Frobenius-stable subsets from orbit counts by Moebius
@@ -17,6 +18,7 @@ prime field.
 
 from __future__ import annotations
 
+import operator
 import random
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, gcd, lcm, prod
@@ -121,6 +123,41 @@ def sympy_certified_rank(rows: list[list[int]], pivot_rows, pivot_cols, kernel) 
     assert y.rows == a.rows - r and y.rank() == y.rows
     assert (y * a).is_zero_matrix
     return r
+
+
+def _partials(d: int, points, monomials) -> list[list[int]]:
+    """One row per (point, i): d/dx_i of each monomial at the point, from the exponents alone."""
+    return [[e[i] * prod(c ** (e[j] - (i == j)) for j, c in enumerate(point)) if e[i] else 0
+             for e in monomials]
+            for point in points for i in range(len(point))]
+
+
+def sympy_frame_ranks(d: int, points: list[tuple[int, ...]]) -> tuple[int, int]:
+    """Ranks over QQ, by sympy, of the singularity matrix and of the block the frame leaves.
+
+    The frame is the first n+1 independent points, taken in order; sympy's
+    adjugate of their matrix A moves them to the coordinate points and each
+    other point q to adj(A).q. The block is those moved points' rows on the
+    monomials with every exponent below d-1. The points must span P^n.
+    """
+    n = len(points[0]) - 1
+    monomials = [tuple(s.count(i) for i in range(n + 1))
+                 for s in combinations_with_replacement(range(n + 1), d)]
+
+    def qq_rank(rows):
+        return DomainMatrix.from_list(rows, sympy.QQ).rank() if rows and rows[0] else 0
+
+    frame, others = [], []
+    for point in points:
+        if len(frame) <= n and qq_rank(frame + [point]) > len(frame):
+            frame.append(point)
+        else:
+            others.append(point)
+    assert len(frame) == n + 1, "the points do not span"
+    adjugate = DomainMatrix.from_list(frame, sympy.ZZ).transpose().adjugate().to_list()
+    moved = [[sum(map(operator.mul, row, q)) for row in adjugate] for q in others]
+    inner = [e for e in monomials if max(e) < d - 1]
+    return qq_rank(_partials(d, points, monomials)), qq_rank(_partials(d, moved, inner))
 
 
 def downward_regularity_scan(h, d_max: int, target: int) -> tuple[int, dict[int, int]]:

@@ -432,7 +432,7 @@ def test_verify_lemma_table_output(capsys):
 
 
 # Each subcommand's options in parser order: (flag, required, default, type,
-# choices). JOBS stands for the --jobs default, which is os.cpu_count().
+# choices). JOBS stands for the --jobs default, the CPUs this process may use.
 JOBS = object()
 FORMAT = ("--format", False, "table", None, ("json", "csv", "table"))
 OUTPUT = ("--output", False, None, None, None)
@@ -463,11 +463,14 @@ ARGUMENT_SURFACE = {
 }
 
 
-def test_argument_surface():
+def test_argument_surface(monkeypatch):
+    # The machine's CPU count is not the default: this process may use three CPUs.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == list(ARGUMENT_SURFACE)
-    jobs = os.cpu_count() or 1
+    jobs = 3
     for name, expected in ARGUMENT_SURFACE.items():
         actual = [
             (a.option_strings[0], a.required, a.default,

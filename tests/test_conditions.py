@@ -2,6 +2,7 @@
 
 import multiprocessing
 import random
+import sys
 import types
 from fractions import Fraction
 from itertools import combinations
@@ -46,6 +47,7 @@ from oracles import (
     sympy_certified_rank,
     sympy_codimension,
     sympy_determinant,
+    sympy_frame_ranks,
     sympy_rank,
 )
 
@@ -286,9 +288,9 @@ def columns_read(monkeypatch):
     reads = []
     stream = conditions._singularity_columns
 
-    def counted(d, config):
+    def counted(*args, **kwargs):
         reads.append(0)
-        for column in stream(d, config):
+        for column in stream(*args, **kwargs):
             reads[-1] += 1
             yield column
 
@@ -412,7 +414,8 @@ def test_each_point_is_evaluated_once(columns_read, bareiss_calls, products):
 
 def test_zero_heavy_codimension_never_enumerates_the_whole_basis(monkeypatch, columns_read):
     # The probe lies in V(x2, x3, x4), so codimension splits it onto its line:
-    # the 23 degree-22 columns there, and the degree-21 values on the line.
+    # the 23 degree-22 columns there less the frame's 4, and the degree-21
+    # values on the line.
     enumerate_all = conditions.enumerate_monomials
 
     def refuse_whole_basis(d, n):
@@ -421,7 +424,7 @@ def test_zero_heavy_codimension_never_enumerates_the_whole_basis(monkeypatch, co
 
     monkeypatch.setattr(conditions, "enumerate_monomials", refuse_whole_basis)
     assert codimension(22, collinear_configuration(4, 12)) == 59
-    assert columns_read == [23]
+    assert columns_read == [19]
 
 
 # --- the split along the points' span -------------------------------------------
@@ -488,8 +491,9 @@ def test_split_matches_the_stream_and_sympy(split_oracle):
 def test_collinear_probe_splits_into_full_rank_blocks(d, n, N, columns_read, certificates,
                                                       bareiss_calls):
     # 2N - 1 columns of full rank on the line, then n - 1 evaluation blocks of rank N.
+    # On the line, two points' frame peels 4 of those columns off unread.
     assert codimension(d, collinear_configuration(n, N)) == (2 * N - 1) + (n - 1) * N
-    assert columns_read == [2 * N - 1]
+    assert columns_read == [2 * N - 5]
     assert certificates == [] and bareiss_calls == []
 
 
@@ -593,6 +597,97 @@ def test_split_mutants_fail_the_invariance_check(name):
     assert caught
 
 
+# --- the points' own frame -------------------------------------------------------
+
+
+def small_configuration(n, N, rng, bound=2, line=0):
+    """N points of P^n that span it, coordinates in [-bound, bound]; the first `line` collinear."""
+    while True:
+        u, v = ([rng.randint(-bound, bound) for _ in range(n + 1)] for _ in range(2))
+        points = {}
+        for t in range(line):
+            points.setdefault(tuple(a + t * b for a, b in zip(u, v)), None)
+        while len(points) < N:
+            points.setdefault(tuple(rng.randint(-bound, bound) for _ in range(n + 1)), None)
+        try:
+            cfg = PointConfiguration(n, tuple(points))
+        except ValueError:  # a zero vector or a projective repeat: draw again
+            continue
+        if len(linalg._eliminate(cfg.integer_points, n + 1)[1]) == n + 1:
+            return cfg
+
+
+def frame_cases():
+    """(d, configuration) of points spanning P^n, n <= 4, at 3 <= d < 2N-1: the frame's range.
+
+    Pinned random points, points partly on a line, the coordinate points
+    with and without others, and the Alexander-Hirschowitz sporadic cases,
+    which are rank-deficient at their own degree. Other matrices above 1,500
+    entries are left out to bound sympy's run time, so every degree is read
+    for the smaller sizes and the lowest ones for the larger.
+    """
+    rng = random.Random("frame")
+    configs = [small_configuration(n, N, rng) for n, N in
+               [(1, 3), (1, 6), (2, 4), (2, 6), (3, 5), (3, 6), (4, 6), (4, 7)]]
+    configs += [small_configuration(n, N, rng, line=k) for n, N, k in
+                [(2, 6, 4), (3, 6, 3), (3, 7, 5), (4, 7, 4)]]
+    configs += [coordinate_configuration(n, n + 1) for n in range(1, 5)]
+    configs += [PointConfiguration(n, coordinate_configuration(n, n + 1).points
+                                   + ((1,) * (n + 1), tuple(range(1, n + 2))))
+                for n in range(1, 5)]
+    # Every configuration is deficient where general points are.
+    configs += [small_configuration(n, N, rng) for n, _, N in sorted(SPORADIC)]
+    for cfg in configs:
+        n, N = cfg.dimension, cfg.count
+        for d in range(3, 2 * N - 1):
+            if N * (n + 1) * comb(d + n, n) <= 1500 or (n, d, N) in SPORADIC:
+                yield d, cfg
+
+
+@pytest.fixture(scope="module")
+def frame_oracle():
+    """(d, configuration, full rank, block rank), the ranks by sympy (see sympy_frame_ranks)."""
+    return [(d, cfg, *sympy_frame_ranks(d, list(cfg.integer_points))) for d, cfg in frame_cases()]
+
+
+def test_frame_peels_the_coordinate_points_rows_off(frame_oracle):
+    assert len(frame_oracle) >= 70
+    assert {cfg.dimension for _, cfg, _, _ in frame_oracle} == {1, 2, 3, 4}
+    deficient = set()
+    for d, cfg, full, block in frame_oracle:
+        n, N = cfg.dimension, cfg.count
+        assert codimension(d, cfg) == full == (n + 1) ** 2 + block, (d, cfg)
+        # A block short of its bound leaves the rank to the input coordinates;
+        # it can only be short where the whole matrix is.
+        framed = conditions._frame_rank(d, cfg)
+        assert framed in (None, full), (d, cfg)
+        if framed is None:
+            assert full < generic_codimension(d, n, N), (d, cfg)
+            deficient.add((n, d, N))
+    assert SPORADIC <= deficient and len(deficient) < len(frame_oracle) // 5
+
+
+FRAME_MUTATIONS = {
+    "frame-columns-streamed": (">= d - 1", "> d - 1"),
+    "peeled-count-one-short": ("peeled = (n + 1) ** 2", "peeled = (n + 1) ** 2 - 1"),
+}
+
+
+@pytest.mark.parametrize("old, new", FRAME_MUTATIONS.values(), ids=FRAME_MUTATIONS)
+def test_frame_mutants_fail_the_oracle(old, new, frame_oracle):
+    mutant = mutant_conditions(old, new)
+    assert any(value_or_error(mutant.codimension, d, cfg) != full
+               for d, cfg, full, _ in frame_oracle)
+
+
+def test_coordinate_points_read_no_column(columns_read):
+    # n+1 points spanning P^n are their own frame: (n+1)^2 with no column read.
+    for n in range(1, 5):
+        for d in range(3, 2 * n + 1):
+            assert codimension(d, coordinate_configuration(n, n + 1)) == (n + 1) ** 2
+    assert columns_read == []
+
+
 # --- the lemma's witness ---------------------------------------------------------
 
 
@@ -619,8 +714,9 @@ def test_sampled_lemma_trials_never_fall_back(d, n, N, columns_read, certificate
     report = verify_codim_lemma(ParameterTriple(d, n, N), trials=4, seed=9)
     assert report.verified and set(report.codimensions) == {N * (n + 1)}
     # Only the collinear probe at 2N-2 streams, on its line, where its 2N-1
-    # columns have full rank: no rank needs a certificate or Bareiss.
-    assert columns_read == [2 * N - 1]
+    # columns have full rank and the frame reads 4 fewer: no rank needs a
+    # certificate or Bareiss.
+    assert columns_read == [2 * N - 5]
     assert certificates == [] and bareiss_calls == []
 
 
@@ -1071,7 +1167,8 @@ def test_pool_workers_return_integers_and_counterexamples_echo_their_seed(monkey
     codim = conditions.codimension
     monkeypatch.setattr(conditions, "codimension",
                         lambda d, config: 0 if config == failing else codim(d, config))
-    monkeypatch.setattr(conditions.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(conditions, "POOL_START_S", 0)
+    claim_cpus(monkeypatch, 2)
     runs = (lambda jobs: verify_codim_lemma(params, trials=8, seed=5, jobs=jobs),
             lambda jobs: general_position_bound(2, 3, trials=6, seed=4, d_max=5, jobs=jobs))
     serial = [run(1) for run in runs]
@@ -1085,10 +1182,20 @@ def test_pool_workers_return_integers_and_counterexamples_echo_their_seed(monkey
     assert [run(2) for run in runs] == serial
 
 
+def claim_cpus(monkeypatch, count):
+    """Let this process run on `count` CPUs, as its affinity mask reads."""
+    monkeypatch.setattr(conditions.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Swap the process pool for an in-process stand-in; returns the sizes asked for."""
+    """Swap the process pool for an in-process stand-in; returns the sizes asked for.
+
+    With no head start every trial goes to the pool, as it did before there was one.
+    """
     sizes = []
+    monkeypatch.setattr(conditions, "POOL_START_S", 0)
 
     class RecordingPool:
         """Stands in for the process pool: records its size, maps in process."""
@@ -1110,7 +1217,7 @@ def pool_sizes(monkeypatch):
 
 
 def test_pool_size_is_clamped_to_tasks_and_cpus(monkeypatch, pool_sizes):
-    monkeypatch.setattr(conditions.os, "cpu_count", lambda: 3)
+    claim_cpus(monkeypatch, 3)
     params = ParameterTriple(3, 1, 2)
     serial = verify_codim_lemma(params, trials=8, seed=5, jobs=1)
     pair = verify_codim_lemma(params, trials=2, seed=5, jobs=5000)
@@ -1118,9 +1225,37 @@ def test_pool_size_is_clamped_to_tasks_and_cpus(monkeypatch, pool_sizes):
     assert verify_codim_lemma(params, trials=8, seed=5, jobs=5000) == serial
     assert general_position_bound(1, 2, trials=1, seed=8, d_max=3, jobs=5000) == 3
     assert pool_sizes == [2, 3]
+    # Where the OS keeps no affinity mask, the CPU count stands in, and an unknown one is 1.
+    monkeypatch.delattr(conditions.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(conditions.os, "cpu_count", lambda: None)
     assert verify_codim_lemma(params, trials=8, seed=5, jobs=5000) == serial
     assert pool_sizes == [2, 3]
+
+
+def test_one_cpu_affinity_starts_no_pool(monkeypatch, pool_sizes):
+    # The machine has four CPUs, but this process may run on one of them.
+    monkeypatch.setattr(conditions.os, "cpu_count", lambda: 4)
+    claim_cpus(monkeypatch, 1)
+    params = ParameterTriple(3, 1, 2)
+    assert verify_codim_lemma(params, trials=8, seed=5, jobs=4) == verify_codim_lemma(
+        params, trials=8, seed=5, jobs=1)
+    assert pool_sizes == []
+
+
+def test_trials_within_the_head_start_start_no_pool(monkeypatch):
+    # The trials finish inside the head start, so --jobs 2 runs them all in
+    # this process and never looks up, let alone imports, the pool.
+    monkeypatch.setattr(conditions, "POOL_START_S", 3600)
+    claim_cpus(monkeypatch, 2)
+    monkeypatch.delitem(sys.modules, "concurrent.futures", raising=False)
+    monkeypatch.delitem(vars(conditions), "ProcessPoolExecutor", raising=False)
+    params = ParameterTriple(3, 1, 2)
+    serial = (verify_codim_lemma(params, trials=8, seed=5, jobs=1),
+              general_position_bound(2, 3, trials=6, seed=4, d_max=5, jobs=1))
+    assert (verify_codim_lemma(params, trials=8, seed=5, jobs=2),
+            general_position_bound(2, 3, trials=6, seed=4, d_max=5, jobs=2)) == serial
+    assert "concurrent.futures" not in sys.modules
+    assert "ProcessPoolExecutor" not in vars(conditions)
 
 
 def test_trial_counts_above_the_limit_are_refused_before_any_seed(monkeypatch):
@@ -1356,6 +1491,6 @@ def test_general_position_bound_matches_per_degree_scan(monkeypatch):
 
 def test_general_position_bound_starts_one_pool(monkeypatch, pool_sizes):
     serial = general_position_bound(2, 3, trials=6, seed=4, d_max=5, jobs=1)
-    monkeypatch.setattr(conditions.os, "cpu_count", lambda: 4)
+    claim_cpus(monkeypatch, 4)
     assert general_position_bound(2, 3, trials=6, seed=4, d_max=5, jobs=2) == serial
     assert pool_sizes == [2]

@@ -62,11 +62,14 @@ def test_output_file_holds_the_whole_report(tmp_path):
 
 
 def test_no_pool_worker_outlives_the_process(tmp_path):
-    # Two CPUs are claimed so that --jobs 2 starts a pool on any machine.
+    # Two CPUs are claimed, and the head start is dropped, so that --jobs 2
+    # starts a pool on any machine.
     code = (
         "import os, sys\n"
-        "os.cpu_count = lambda: 2\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "sys.argv = ['stablecoh', *sys.argv[1:]]\n"
+        "from stablecoh import conditions\n"
+        "conditions.POOL_START_S = 0\n"
         "from stablecoh.cli import entrypoint\n"
         "entrypoint()\n"
     )

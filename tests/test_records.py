@@ -196,7 +196,9 @@ def test_two_worker_pool_matches_one_job(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(conditions, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(conditions.os, "cpu_count", lambda: 2)
+    # No head start and two CPUs: every --jobs 2 trial goes to the pool.
+    monkeypatch.setattr(conditions, "POOL_START_S", 0)
+    monkeypatch.setattr(conditions.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     params = ParameterTriple(3, 1, 2)
     serial = verify_codim_lemma(params, trials=6, seed=11, jobs=1)
     assert sizes == []

@@ -83,10 +83,13 @@ def test_pool_class_is_loaded_on_first_use():
 
 def run_traced(*cli_args: str) -> tuple[dict, dict]:
     """The JSON report and the span document of one run under bench/tracer.py."""
-    # Two CPUs are claimed so that --jobs 2 starts a pool on any machine.
+    # Two CPUs are claimed, and the head start is dropped, so that --jobs 2
+    # starts a pool on any machine.
     code = (
         "import os, runpy, sys\n"
-        "os.cpu_count = lambda: 2\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from stablecoh import conditions\n"
+        "conditions.POOL_START_S = 0\n"
         "sys.argv = ['tracer.py', *sys.argv[1:]]\n"
         "runpy.run_path('bench/tracer.py', run_name='__main__')\n"
     )
