@@ -3,15 +3,14 @@
 Requiring a degree-d form to be singular at a point imposes n+1 linear
 conditions (one per partial derivative). Points that span less than P^n
 first split, by a linear change of coordinates, into blocks on their
-span. The blocks have four engines: for d >= 2N-1, the block-diagonal
+span. The blocks have three engines: for d >= 2N-1, the block-diagonal
 conditions of the lemma's witness forms, each block shown of full rank by
-one exact elimination; for 3 <= d < 2N-1, the points' own frame, which
-takes (n+1)^2 of the rank unread and a rank mod p of the rest that is
-exact when it meets its bound; otherwise, or if neither proves the rank, a
-stream of the nonzero condition columns into a rank certified mod p, each
-built when the rank reads it; and Bareiss elimination when that
-certificate fails. This module also compares the two degreewise squares of
-a point ideal (products of ideal elements versus order-two vanishing), and
+one exact elimination; otherwise a stream of the nonzero condition
+columns into a rank certified mod p, each built when the rank reads it;
+and Bareiss elimination when that certificate fails. For 3 <= d < 2N-1
+the stream runs on the points' own frame, which takes (n+1)^2 of the rank
+unread. This module also compares the two degreewise squares of a point
+ideal (products of ideal elements versus order-two vanishing), and
 packages the randomized verification of the codimension stabilization at
 degree 2N-1 together with the collinear sharpness probe, whose trials
 start a process pool only once they outlast its start-up.
@@ -30,8 +29,7 @@ from operator import add, getitem, mul
 from time import perf_counter
 
 from ._record import record
-from .linalg import (ExactMatrix, _eliminate, _kernel, _modular_rank, certified_rank,
-                     integer_rank, kernel_basis)
+from .linalg import ExactMatrix, _eliminate, _kernel, certified_rank, integer_rank, kernel_basis
 from .monomials import enumerate_monomials, monomial_index
 from .params import ParameterTriple, coefficient_space_dim
 from .points import (
@@ -89,7 +87,8 @@ def _singularity_columns(d: int, config: PointConfiguration,
     vanishing at some point; one walk over the degree-d monomials skips the
     zero columns. Each degree-(d-1) value is computed at every point when a
     column first reads it. Framed, the columns of the monomials with an
-    exponent >= d-1 are skipped too: the coordinate points' own (see _frame_rank).
+    exponent >= d-1 are skipped too: the coordinate points' conditions fill
+    them, one per row, and no other row's (see _frame_rank).
     """
     n = config.dimension
     order = sorted(range(n + 1), key=lambda i: sum(not p[i] for p in config.integer_points))
@@ -156,8 +155,8 @@ def _witness_blocks(d: int, config: PointConfiguration) -> list[list[list[int]]]
     return blocks
 
 
-def _frame_rank(d: int, config: PointConfiguration) -> int | None:
-    """The codimension of points spanning P^n at d >= 3, on their own frame; None if unproven.
+def _frame_rank(d: int, config: PointConfiguration) -> int:
+    """The codimension of points spanning P^n at d >= 3, on their own frame.
 
     The frame is n+1 independent points, the pivot columns of one elimination
     of the points taken as columns, with A their matrix. The integer change of
@@ -167,9 +166,7 @@ def _frame_rank(d: int, config: PointConfiguration) -> int | None:
     nonzero entry, in column x_k^(d-1) x_i, and for d >= 3 these (n+1)^2
     columns are distinct: exactly the monomials with an exponent >= d-1. So
     the codimension is (n+1)^2 plus the rank of the other points' rows on the
-    other columns. That block is streamed mod p; its rank is exact when it
-    meets min(rows, columns read). Below that it is None, and codimension
-    certifies on the input coordinates, whose entries are smaller.
+    other columns, the block certified_rank streams and proves.
     """
     n = config.dimension
     peeled = (n + 1) ** 2
@@ -177,8 +174,7 @@ def _frame_rank(d: int, config: PointConfiguration) -> int | None:
         return peeled
     frame, kernel = _kernel(list(zip(*config.integer_points)), config.count)
     others = PointConfiguration(n, tuple(tuple(v[k] for k in frame) for v in kernel))
-    _, pivots, bound = _modular_rank(_singularity_columns(d, others, framed=True))
-    return peeled + bound if len(pivots) == bound else None
+    return peeled + certified_rank(_singularity_columns(d, others, framed=True))
 
 
 def codimension(d: int, config: PointConfiguration) -> int:
@@ -195,12 +191,13 @@ def codimension(d: int, config: PointConfiguration) -> int:
     d-1. For d >= 2N-1, full rank by one exact elimination on each block of
     the witness forms x_j * K_a (see _witness_blocks) proves rank N(n+1),
     the row count, with no prime. For 3 <= d < 2N-1, the points' own frame
-    gives (n+1)^2 of the rank with no column read, and the other points'
-    block a rank mod p that is exact if it meets its bound (see _frame_rank).
-    Otherwise the nonzero columns are streamed and certified mod p: about
-    N(n+1) of them at full row rank, and every one when the rank is below
-    both the row count and the number of nonzero columns; there the pivot
-    minor and an exact left kernel prove the rank, or else Bareiss decides.
+    gives (n+1)^2 of the rank with no column read, and only the other
+    points' block is streamed (see _frame_rank); below d = 3, or if a
+    witness block fails, every nonzero column on the input coordinates is.
+    Either stream is certified mod p: it reads about one column per row at
+    full row rank, and every one when the rank is below both the row count
+    and the number of nonzero columns; there the pivot minor and an exact
+    left kernel prove the rank, or else Bareiss decides.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
@@ -217,8 +214,8 @@ def codimension(d: int, config: PointConfiguration) -> int:
         blocks = _witness_blocks(d, config)
         if blocks is not None and all(len(_eliminate(b, len(b))[1]) == len(b) for b in blocks):
             return rows
-    elif d >= 3 and (framed := _frame_rank(d, config)) is not None:
-        return framed
+    elif d >= 3:
+        return _frame_rank(d, config)
     return certified_rank(_singularity_columns(d, config))
 
 

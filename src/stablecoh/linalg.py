@@ -152,21 +152,6 @@ def _rank_certificate(
     return columns, pivot_rows, pivot_cols, kernel
 
 
-def _modular_rank(
-    columns: Iterable[Sequence[int]], upper: int | None = None
-) -> tuple[list[Sequence[int]], list[tuple[int, int]], int]:
-    """The columns read, their pivots mod PRIME, and the bound min(rows, columns read, upper).
-
-    Reading stops at rank upper + 1, or as modular_column_rank stops. A rank
-    mod p that meets the bound is exact; below it, it is only a lower bound.
-    """
-    kept: list[Sequence[int]] = []
-    stream = (kept.append(c) or c for c in columns)
-    pivots = modular_column_rank(stream, None if upper is None else upper + 1)
-    n_rows = len(kept[0]) if kept else 0
-    return kept, pivots, min(n_rows, len(kept), len(kept) if upper is None else upper)
-
-
 def certified_rank(columns: Iterable[Sequence[int]], upper: int | None = None) -> int:
     """Exact rank over the rationals of an integer matrix given column by column.
 
@@ -180,10 +165,14 @@ def certified_rank(columns: Iterable[Sequence[int]], upper: int | None = None) -
     min(rows, columns) - r; only if the kernel check fails does Bareiss
     decide, in the orientation with fewer rows.
     """
-    kept, pivots, bound = _modular_rank(columns, upper)
+    kept: list[Sequence[int]] = []
+    stream = (kept.append(c) or c for c in columns)
+    pivots = modular_column_rank(stream, None if upper is None else upper + 1)
     rank = len(pivots)
+    n_rows = len(kept[0]) if kept else 0
+    bound = min(n_rows, len(kept), len(kept) if upper is None else upper)
     if rank < bound and _rank_certificate(kept, pivots) is None:
-        rank = bareiss_rank(kept if len(kept) < len(kept[0]) else list(zip(*kept)))
+        rank = bareiss_rank(kept if len(kept) < n_rows else list(zip(*kept)))
     if rank > bound:
         raise ValueError(f"rank {rank} exceeds the claimed upper bound {upper}")
     return rank

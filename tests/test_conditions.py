@@ -656,13 +656,10 @@ def test_frame_peels_the_coordinate_points_rows_off(frame_oracle):
     deficient = set()
     for d, cfg, full, block in frame_oracle:
         n, N = cfg.dimension, cfg.count
-        assert codimension(d, cfg) == full == (n + 1) ** 2 + block, (d, cfg)
-        # A block short of its bound leaves the rank to the input coordinates;
-        # it can only be short where the whole matrix is.
-        framed = conditions._frame_rank(d, cfg)
-        assert framed in (None, full), (d, cfg)
-        if framed is None:
-            assert full < generic_codimension(d, n, N), (d, cfg)
+        # The frame proves every rank itself, a block short of its bound included.
+        assert codimension(d, cfg) == conditions._frame_rank(d, cfg) == full, (d, cfg)
+        assert full == (n + 1) ** 2 + block, (d, cfg)
+        if full < generic_codimension(d, n, N):
             deficient.add((n, d, N))
     assert SPORADIC <= deficient and len(deficient) < len(frame_oracle) // 5
 
@@ -686,6 +683,33 @@ def test_coordinate_points_read_no_column(columns_read):
         for d in range(3, 2 * n + 1):
             assert codimension(d, coordinate_configuration(n, n + 1)) == (n + 1) ** 2
     assert columns_read == []
+
+
+def test_sporadic_cases_stream_once(columns_read):
+    # The short block is certified in the stream it was read in, on the frame.
+    cases = {(n, d, N): cfg for n, d, N, cfg in alexander_hirschowitz_cases()}
+    for n, d, N in sorted(SPORADIC):
+        columns_read.clear()
+        assert codimension(d, cases[n, d, N]) == min(N * (n + 1), comb(d + n, n)) - 1
+        assert len(columns_read) == 1, (n, d, N)
+
+
+def test_frame_block_equal_mod_p_falls_back_to_bareiss_on_the_frame(columns_read,
+                                                                     bareiss_calls):
+    # (1, p) is (1, 0) mod p, so the block's one column, x0^2 x1^2's, is zero
+    # mod p: the certificate fails and Bareiss decides the 1 x 2 block.
+    line = PointConfiguration(1, ((1, 0), (0, 1), (1, PRIME)))
+    assert codimension(4, line) == 5 == sympy_codimension(4, list(line.points))
+    assert columns_read == [1] and bareiss_calls == [(1, 2)]
+    # In the plane, the moved fourth point's 3 rows meet the monomials with
+    # every exponent below d - 1: 6, 12 and 19 columns, none of them a pivot mod p.
+    plane = PointConfiguration(2, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, PRIME, PRIME)))
+    for d, cols in [(4, 6), (5, 12), (6, 19)]:
+        columns_read.clear()
+        bareiss_calls.clear()
+        full, _ = sympy_frame_ranks(d, list(plane.integer_points))
+        assert codimension(d, plane) == 12 == full, d
+        assert columns_read == [cols] and bareiss_calls == [(3, cols)], d
 
 
 # --- the lemma's witness ---------------------------------------------------------
@@ -846,12 +870,13 @@ def test_collinear_probe_certificates_pass_the_oracle(d, n, N, certificates, bar
 
 
 def test_sporadic_certificates_pass_the_oracle(certificates, bareiss_calls):
+    # The one certificate is the frame's block's: the rank less the (n+1)^2 peeled off.
     cases = {(n, d, N): cfg for n, d, N, cfg in alexander_hirschowitz_cases()}
     for n, d, N in sorted(SPORADIC):
         certificates.clear()
-        value = check_issued_certificate(codimension(d, cases[n, d, N]), certificates,
-                                         bareiss_calls)
+        value = codimension(d, cases[n, d, N])
         assert value == min(N * (n + 1), comb(d + n, n)) - 1, (n, d, N)
+        check_issued_certificate(value - (n + 1) ** 2, certificates, bareiss_calls)
 
 
 def test_golden_configuration_certificates_pass_the_oracle():

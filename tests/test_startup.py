@@ -120,3 +120,19 @@ def test_traced_matrix_builds_and_ranks_carry_their_shapes():
         assert attrs, name
         for attr in attrs:
             assert attr["rows"] >= 1 and attr["cols"] >= 1, (name, attr)
+
+
+def test_traced_frame_ranks_are_certified_ranks_inside_codimension():
+    # Below 2N - 1 every trial's rank is the frame's block, certified by
+    # certified_rank, so the tracer sees it under the codimension that asked.
+    _, doc = run_traced("d0-scan", "--n", "3", "--N", "6", "--trials", "3", "--jobs", "1")
+    spans = doc["spans"]
+
+    def ancestors(span):
+        while span[3] != -1:
+            span = spans[span[3]]
+            yield span[0]
+
+    ranks = [span for span in spans if span[0] == "linalg.certified_rank"]
+    assert ranks
+    assert all("conditions.codimension" in ancestors(span) for span in ranks)
