@@ -3,17 +3,18 @@
 Requiring a degree-d form to be singular at a point imposes n+1 linear
 conditions (one per partial derivative). Points that span less than P^n
 first split, by a linear change of coordinates, into blocks on their
-span. The blocks have three engines: for d >= 2N-1, the block-diagonal
-conditions of the lemma's witness forms, each block shown of full rank by
-one exact elimination; otherwise a stream of the nonzero condition
-columns into a rank certified mod p, each built when the rank reads it;
-and Bareiss elimination when that certificate fails. For 3 <= d < 2N-1
-the stream runs on the points' own frame, which takes (n+1)^2 of the rank
-unread. This module also compares the two degreewise squares of a point
-ideal (products of ideal elements versus order-two vanishing), and
-packages the randomized verification of the codimension stabilization at
-degree 2N-1 together with the collinear sharpness probe, whose trials
-start a process pool only once they outlast its start-up.
+span. Spanning points then have three returns: C(d+n, n) for d <= 2,
+where no nonzero linear form or quadric is singular at them all; the row
+count N(n+1) for d >= 2N-1, once each block of the lemma's witness forms
+is shown of full rank by one exact elimination; and otherwise the rank on
+the points' own frame, which takes (n+1)^2 unread and streams the other
+nonzero columns, each built when read, into a rank certified mod p, or
+decided by Bareiss elimination when that certificate fails. This module
+also compares the two degreewise squares of a point ideal (products of
+ideal elements versus order-two vanishing), and packages the randomized
+verification of the codimension stabilization at degree 2N-1 together
+with the collinear sharpness probe, whose trials start a process pool
+only once they outlast its start-up.
 """
 
 from __future__ import annotations
@@ -74,21 +75,19 @@ def _monomial_values(point: tuple[int, ...], e: int, n: int) -> list[int]:
     return [prod(map(getitem, pows, exps)) for exps in enumerate_monomials(e, n)]
 
 
-def _singularity_columns(d: int, config: PointConfiguration,
-                         framed: bool = False) -> Iterator[list[int]]:
-    """The nonzero columns of the singularity conditions, each built when it is read.
+def _singularity_columns(d: int, config: PointConfiguration) -> Iterator[list[int]]:
+    """The nonzero singularity columns the frame leaves, each built when it is read.
 
     One row per (point, variable i), one column per degree-d monomial e: the
-    entry is d/dx_i x^e = e_i x^(e - eps_i) at the point's normal form, so the
-    rank is the codimension of the forms vanishing to order >= 2 at every
-    point. The coordinates are permuted alike at every point, those zero at
-    the fewest points first: an automorphism of P^n, which keeps the rank.
+    entry is d/dx_i x^e = e_i x^(e - eps_i) at the point's normal form. The
+    monomials with an exponent >= d-1 are skipped: the coordinate points'
+    conditions fill them, one per row, and no other row's (see _frame_rank).
+    The coordinates are permuted alike at every point, those zero at the
+    fewest points first, which permutes the other columns among themselves.
     Column e is nonzero exactly when e has degree <= 1 on the coordinates
     vanishing at some point; one walk over the degree-d monomials skips the
     zero columns. Each degree-(d-1) value is computed at every point when a
-    column first reads it. Framed, the columns of the monomials with an
-    exponent >= d-1 are skipped too: the coordinate points' conditions fill
-    them, one per row, and no other row's (see _frame_rank).
+    column first reads it.
     """
     n = config.dimension
     order = sorted(range(n + 1), key=lambda i: sum(not p[i] for p in config.integer_points))
@@ -100,7 +99,7 @@ def _singularity_columns(d: int, config: PointConfiguration,
     values: dict[tuple[int, ...], list[int]] = {}  # lower monomial -> values at the points
     no_partial = [0] * len(points)  # scaled by e_i = 0 where x_i is absent from e
     for e in enumerate_monomials(d, n):
-        if framed and max(e) >= d - 1:
+        if max(e) >= d - 1:
             continue
         if zero_sets and all(sum(e[i] for i in z) > 1 for z in zero_sets):
             continue
@@ -133,7 +132,7 @@ def _witness_blocks(d: int, config: PointConfiguration) -> list[list[list[int]]]
     B_a[i][j] = delta_ij K_a(p_a) + p_a[j] dK_a/dx_i(p_a) by the product
     rule. By Euler's identity p_a . grad K_a(p_a) = (d-1) K_a(p_a), so
     det B_a = d K_a(p_a)^(n+1) != 0 and codimension's fallback to the
-    stream is only a guard. Returns None if a form fails a check.
+    frame is only a guard. Returns None if a form fails a check.
     """
     points = config.integer_points
     blocks = []
@@ -174,7 +173,7 @@ def _frame_rank(d: int, config: PointConfiguration) -> int:
         return peeled
     frame, kernel = _kernel(list(zip(*config.integer_points)), config.count)
     others = PointConfiguration(n, tuple(tuple(v[k] for k in frame) for v in kernel))
-    return peeled + certified_rank(_singularity_columns(d, others, framed=True))
+    return peeled + certified_rank(_singularity_columns(d, others))
 
 
 def codimension(d: int, config: PointConfiguration) -> int:
@@ -188,16 +187,16 @@ def codimension(d: int, config: PointConfiguration) -> int:
     diagonal by support: the monomials free of Z give the same problem on
     P^(|I|-1) at the points' I-coordinates, which span it, and for each z
     in Z the monomials x_z * m give the evaluation matrix there at degree
-    d-1. For d >= 2N-1, full rank by one exact elimination on each block of
-    the witness forms x_j * K_a (see _witness_blocks) proves rank N(n+1),
-    the row count, with no prime. For 3 <= d < 2N-1, the points' own frame
-    gives (n+1)^2 of the rank with no column read, and only the other
-    points' block is streamed (see _frame_rank); below d = 3, or if a
-    witness block fails, every nonzero column on the input coordinates is.
-    Either stream is certified mod p: it reads about one column per row at
-    full row rank, and every one when the rank is below both the row count
-    and the number of nonzero columns; there the pivot minor and an exact
-    left kernel prove the rank, or else Bareiss decides.
+    d-1. Then there are three returns. For d <= 2 it is C(d+n, n): a
+    linear form singular at a point is zero, and so is a quadric singular
+    at points spanning P^n, which is singular everywhere. For d >= 2N-1,
+    full rank by one exact elimination on each block of the witness forms
+    x_j * K_a (see _witness_blocks) proves rank N(n+1), the row count, with
+    no prime. Otherwise, or if a witness block fails, the points' own frame,
+    valid for every d >= 3, gives (n+1)^2 of the rank with no column read
+    and streams only the other points' block (see _frame_rank) into
+    certified_rank: about one column read per row at full row rank, and
+    every nonzero one below it.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
@@ -210,13 +209,13 @@ def codimension(d: int, config: PointConfiguration) -> int:
             tuple(p[i] for i in support) for p in config.integer_points))
         values = evaluation_matrix(d - 1, dropped).entries
         return codimension(d, dropped) + (n + 1 - len(support)) * certified_rank(values)
+    if d <= 2:
+        return coefficient_space_dim(d, n)
     if d >= 2 * config.count - 1:
         blocks = _witness_blocks(d, config)
         if blocks is not None and all(len(_eliminate(b, len(b))[1]) == len(b) for b in blocks):
             return rows
-    elif d >= 3:
-        return _frame_rank(d, config)
-    return certified_rank(_singularity_columns(d, config))
+    return _frame_rank(d, config)
 
 
 def symbolic_square_dim(d: int, config: PointConfiguration) -> int:

@@ -3,10 +3,13 @@
 Nothing here shares code with the library paths under test: subspaces are
 counted by explicit row-echelon enumeration over the two-element field,
 condition ranks are recomputed with sympy's own differentiation and rank,
-the ranks on the points' own frame with sympy's adjugate and domain-matrix
-rank, kernel bases come from sympy's nullspace, rank certificates are checked
-with sympy determinants and products, and point counts over prime fields
-come from the group-order formula or from enumerating matrices and forms,
+the reference stream of every nonzero condition column, which the tests
+certify where the library streams only the frame's block, is built from
+the exponents alone, the ranks on the points' own frame with sympy's
+adjugate and domain-matrix rank, kernel bases come from sympy's
+nullspace, rank certificates are checked with sympy determinants and
+products, and point counts over prime fields come from the group-order
+formula or from enumerating matrices and forms,
 signed counts of Frobenius-stable subsets from orbit counts by Moebius
 inversion, the ranks of singularity conditions over a prime field from
 an elimination written here, stabilization degrees by reading a Hilbert
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import operator
 import random
+from collections.abc import Iterator
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, gcd, lcm, prod
 
@@ -125,11 +129,23 @@ def sympy_certified_rank(rows: list[list[int]], pivot_rows, pivot_cols, kernel) 
     return r
 
 
-def _partials(d: int, points, monomials) -> list[list[int]]:
-    """One row per (point, i): d/dx_i of each monomial at the point, from the exponents alone."""
-    return [[e[i] * prod(c ** (e[j] - (i == j)) for j, c in enumerate(point)) if e[i] else 0
-             for e in monomials]
-            for point in points for i in range(len(point))]
+def partial_columns(d: int, n: int, points) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """(e, column) for every degree-d monomial e of P^n, zero or not, each built when read.
+
+    The monomials come in graded-lex order, x0^d first, as multisets of d
+    variables. The column holds d/dx_i x^e = e_i * prod_j c_j^(e_j - delta_ij)
+    at each point, one entry per (point, i), point by point, computed from
+    the exponents alone.
+    """
+    for support in combinations_with_replacement(range(n + 1), d):
+        e = tuple(support.count(i) for i in range(n + 1))
+        yield e, [e[i] * prod(c ** (e[j] - (i == j)) for j, c in enumerate(point)) if e[i] else 0
+                  for point in points for i in range(n + 1)]
+
+
+def singularity_columns(d: int, n: int, points) -> Iterator[list[int]]:
+    """The reference stream: every nonzero column of partial_columns, in order, built when read."""
+    return (column for _, column in partial_columns(d, n, points) if any(column))
 
 
 def sympy_frame_ranks(d: int, points: list[tuple[int, ...]]) -> tuple[int, int]:
@@ -141,8 +157,6 @@ def sympy_frame_ranks(d: int, points: list[tuple[int, ...]]) -> tuple[int, int]:
     monomials with every exponent below d-1. The points must span P^n.
     """
     n = len(points[0]) - 1
-    monomials = [tuple(s.count(i) for i in range(n + 1))
-                 for s in combinations_with_replacement(range(n + 1), d)]
 
     def qq_rank(rows):
         return DomainMatrix.from_list(rows, sympy.QQ).rank() if rows and rows[0] else 0
@@ -156,8 +170,9 @@ def sympy_frame_ranks(d: int, points: list[tuple[int, ...]]) -> tuple[int, int]:
     assert len(frame) == n + 1, "the points do not span"
     adjugate = DomainMatrix.from_list(frame, sympy.ZZ).transpose().adjugate().to_list()
     moved = [[sum(map(operator.mul, row, q)) for row in adjugate] for q in others]
-    inner = [e for e in monomials if max(e) < d - 1]
-    return qq_rank(_partials(d, points, monomials)), qq_rank(_partials(d, moved, inner))
+    # A matrix has the rank of its transpose, so the columns are ranked as rows.
+    block = [column for e, column in partial_columns(d, n, moved) if max(e) < d - 1]
+    return qq_rank([column for _, column in partial_columns(d, n, points)]), qq_rank(block)
 
 
 def downward_regularity_scan(h, d_max: int, target: int) -> tuple[int, dict[int, int]]:

@@ -40,9 +40,11 @@ from stablecoh.points import (
 from oracles import (
     downward_regularity_scan,
     linear_invariance_violations,
+    partial_columns,
     points_regularity,
     projective_points_mod_p,
     rank_mod_p,
+    singularity_columns,
     singularity_rows_mod_p,
     sympy_certified_rank,
     sympy_codimension,
@@ -63,16 +65,6 @@ def p1_pair():
 # --- singularity columns -------------------------------------------------------
 
 
-def condition_rows(d, cfg):
-    """The streamed singularity columns, transposed to one row per condition."""
-    return list(zip(*conditions._singularity_columns(d, cfg)))
-
-
-def stream_rank(d, cfg):
-    """The rank the column stream certifies, with no witness in front of it."""
-    return linalg.certified_rank(conditions._singularity_columns(d, cfg))
-
-
 def ordered_points(cfg):
     """The integer points, coordinates reordered by how many points vanish there, fewest first."""
     ints = cfg.integer_points
@@ -80,21 +72,41 @@ def ordered_points(cfg):
     return [[p[i] for i in order] for p in ints]
 
 
-def partial_columns(d, cfg):
-    """(e, column) for every degree-d monomial e, zero or not, at the reordered points.
+def reordered_partials(d, cfg):
+    """(e, column) for every degree-d monomial e, zero or not, at the reordered points."""
+    return partial_columns(d, cfg.dimension, ordered_points(cfg))
 
-    The entry for (point, i) is d/dx_i x^e = e_i * prod_j c_j^(e_j - delta_ij),
-    computed from the exponents alone.
+
+def reference_columns(d, cfg):
+    """The reference stream of every nonzero condition column, at the reordered points."""
+    return singularity_columns(d, cfg.dimension, ordered_points(cfg))
+
+
+def condition_rows(d, cfg):
+    """The reference stream's columns, transposed to one row per condition."""
+    return list(zip(*reference_columns(d, cfg)))
+
+
+def counted(columns, reads):
+    """The columns, one at a time, counted in a new last entry of reads."""
+    reads.append(0)
+    for column in columns:
+        reads[-1] += 1
+        yield column
+
+
+def stream_rank(d, cfg, reads=None):
+    """The rank certified_rank gives on the reference stream, with no split, witness or frame.
+
+    With reads given, a new last entry counts the columns it read.
     """
-    n = cfg.dimension
-    return [
-        (e, [
-            e[i] * prod(c ** (e[j] - (i == j)) for j, c in enumerate(point)) if e[i] else 0
-            for point in ordered_points(cfg)
-            for i in range(n + 1)
-        ])
-        for e in enumerate_monomials(d, n)
-    ]
+    columns = reference_columns(d, cfg)
+    return linalg.certified_rank(columns if reads is None else counted(columns, reads))
+
+
+def frame_stream_rank(d, cfg):
+    """The rank certified_rank gives on the library's stream of the columns the frame leaves."""
+    return linalg.certified_rank(conditions._singularity_columns(d, cfg))
 
 
 def lower_monomials(monomials):
@@ -103,7 +115,7 @@ def lower_monomials(monomials):
 
 
 def test_matrix_binary_quadrics_at_origin_chart():
-    # x1^2 vanishes to second order at [1 : 0], so its zero column is not streamed.
+    # x1^2 vanishes to second order at [1 : 0], so its zero column is not in the stream.
     assert condition_rows(2, PointConfiguration(1, ((1, 0),))) == [(2, 0), (0, 1)]
 
 
@@ -270,11 +282,13 @@ ZERO_HEAVY = [
 
 def test_streamed_columns_are_the_partial_derivatives():
     # The stream is exactly the nonzero columns of the full matrix of partials
-    # at the reordered points, in graded-lex order.
-    cases = [(d, cfg) for _, d, _, cfg in alexander_hirschowitz_cases() if d <= 5] + ZERO_HEAVY
-    for d, cfg in cases:
+    # at the reordered points, in graded-lex order, less the frame's: those of
+    # the monomials with an exponent >= d - 1.
+    cases = [(d, cfg) for _, d, _, cfg in alexander_hirschowitz_cases() if 3 <= d <= 5]
+    for d, cfg in cases + ZERO_HEAVY:
         streamed = list(conditions._singularity_columns(d, cfg))
-        nonzero = [column for _, column in partial_columns(d, cfg) if any(column)]
+        nonzero = [column for e, column in reordered_partials(d, cfg)
+                   if any(column) and max(e) < d - 1]
         assert streamed == nonzero, (d, cfg)
     # The first point of each of the last three cases, reordered.
     assert [ordered_points(cfg)[0] for _, cfg in ZERO_HEAVY[2:]] == [
@@ -284,17 +298,11 @@ def test_streamed_columns_are_the_partial_derivatives():
 
 @pytest.fixture
 def columns_read(monkeypatch):
-    """Patch the column stream to count what the certificate reads; one entry per stream."""
+    """Patch the library's column stream to count what the certificate reads; one entry per stream."""
     reads = []
     stream = conditions._singularity_columns
-
-    def counted(*args, **kwargs):
-        reads.append(0)
-        for column in stream(*args, **kwargs):
-            reads[-1] += 1
-            yield column
-
-    monkeypatch.setattr(conditions, "_singularity_columns", counted)
+    monkeypatch.setattr(conditions, "_singularity_columns",
+                        lambda d, config: counted(stream(d, config), reads))
     return reads
 
 
@@ -333,82 +341,96 @@ def products(monkeypatch):
     # <= 1 in x2 are streamed, and rank 9 is reached at the tenth.
     (5, collinear_configuration(2, 3), 9, 10),
 ])
-def test_certificate_reads_past_dependent_leading_columns(
-    d, cfg, rank, read, columns_read, bareiss_calls
-):
-    assert stream_rank(d, cfg) == rank == sympy_codimension(d, list(cfg.points))
-    assert columns_read == [read]
+def test_certificate_reads_past_dependent_leading_columns(d, cfg, rank, read, bareiss_calls):
+    reads = []
+    assert stream_rank(d, cfg, reads) == rank == sympy_codimension(d, list(cfg.points))
+    assert reads == [read]
     assert bareiss_calls == []
 
 
-def test_points_equal_mod_p_fall_back_to_bareiss(columns_read, bareiss_calls):
+def test_points_equal_mod_p_fall_back_to_bareiss(bareiss_calls):
     # (1, 0) and (1, p) are distinct points that coincide mod p: the rank mod
     # p is that of one double point, so the certificate fails and Bareiss decides.
+    reads = []
     cfg = PointConfiguration(1, ((1, 0), (1, PRIME)))
-    assert stream_rank(3, cfg) == 4 == sympy_codimension(3, list(cfg.points))
-    assert columns_read == [4]
+    assert stream_rank(3, cfg, reads) == 4 == sympy_codimension(3, list(cfg.points))
+    assert reads == [4]
     assert bareiss_calls == [(4, 4)]
     # Of the 21 quintic columns, the 14 of degree <= 1 in x2 or of degree
     # >= 4 in x2 are nonzero, and Bareiss runs on those 9 x 14.
     plane = PointConfiguration(2, ((1, 0, 0), (1, PRIME, 0), (0, 0, 1)))
-    assert stream_rank(5, plane) == 9 == sympy_codimension(5, list(plane.points))
-    assert columns_read == [4, 14]
+    assert stream_rank(5, plane, reads) == 9 == sympy_codimension(5, list(plane.points))
+    assert reads == [4, 14]
     assert bareiss_calls == [(4, 4), (9, 14)]
 
 
-def test_certificate_work_count(columns_read, bareiss_calls):
+def test_certificate_work_count(bareiss_calls):
     # Full rank at seeded points: the certificate reads 32 of the 816 columns.
+    reads = []
     for seed in range(4):
-        assert stream_rank(15, random_configuration(3, 8, random.Random(seed))) == 32
-    assert columns_read == [32] * 4
+        assert stream_rank(15, random_configuration(3, 8, random.Random(seed)), reads) == 32
+    assert reads == [32] * 4
     assert bareiss_calls == []
-    # The collinear probe is rank-deficient: it reads every streamed column,
+    # The collinear probe is rank-deficient: it reads every nonzero column,
     # 43 of the 680, and the pivot minor with an exact left kernel proves
     # rank 31 without Bareiss.
-    columns_read.clear()
-    assert stream_rank(14, collinear_configuration(3, 8)) == 31
-    assert columns_read == [43]
+    reads.clear()
+    assert stream_rank(14, collinear_configuration(3, 8), reads) == 31
+    assert reads == [43]
     assert bareiss_calls == []
 
 
 def test_column_reads_stay_output_sensitive(columns_read, bareiss_calls):
-    # The larger probe streams 89 of its 14,950 columns.
-    assert stream_rank(22, collinear_configuration(4, 12)) == 59
-    assert columns_read[-1] <= 89
-    # A seeded trial with a point on x0 = 0: that coordinate goes last, so
-    # the trial reads as few columns as a trial with no zero coordinate.
-    cfg = random_configuration(4, 12, random.Random(derive_trial_seeds(0, 8)[2]))
-    assert any(point[0] == 0 for point in cfg.integer_points)
-    assert stream_rank(23, cfg) == 60
-    assert columns_read[-1] == 60
-    # The same with x0 = 0 set at one point of a (15, 3, 8) trial.
-    points = list(random_configuration(3, 8, random.Random(0)).points)
+    # The larger probe's points lie in V(x2, x3, x4): of its 14,950 columns,
+    # the 89 of degree <= 1 there are nonzero, and 79 of them have every
+    # exponent below 21. The rank falls short, so all 79 are streamed.
+    assert frame_stream_rank(22, collinear_configuration(4, 12)) == 52
+    assert columns_read == [79]
+    # The coordinate points of P^4 and seven points of a seeded trial, one of
+    # them on x0 = 0. The coordinate points are the frame and move nowhere,
+    # so the block keeps that zero; x0 goes last, and at d = 22 < 2N - 1 the
+    # block reads one column per row. With x0 first, 12,648 are read.
+    trial = random_configuration(4, 12, random.Random(derive_trial_seeds(0, 8)[2]))
+    cfg = PointConfiguration(4, coordinate_configuration(4, 5).points + trial.points[-7:])
+    assert [point[0] for point in trial.integer_points[-7:]].count(0) == 1
+    columns_read.clear()
+    assert codimension(22, cfg) == 60
+    assert columns_read == [35]
+    # The same with x0 = 0 set at one of four points of a (15, 3, 8) trial,
+    # after the coordinate points of P^3, at d = 14.
+    points = list(random_configuration(3, 8, random.Random(0)).points[:4])
     points[3] = (0,) + points[3][1:]
-    assert stream_rank(15, PointConfiguration(3, tuple(points))) == 32
-    assert columns_read[-1] == 32
+    columns_read.clear()
+    assert codimension(14, PointConfiguration(3, coordinate_configuration(3, 4).points
+                                              + tuple(points))) == 32
+    assert columns_read == [16]
     assert bareiss_calls == []
 
 
 def test_each_point_is_evaluated_once(columns_read, bareiss_calls, products):
-    # The probe reads every nonzero column; each degree-13 value those
-    # columns need is computed once at each of the 8 points.
+    # The probe's stream is rank-deficient, so every one of its 35 columns is
+    # read; each degree-13 value those columns need is computed once at each
+    # of the 8 points.
     cfg = collinear_configuration(3, 8)
-    assert stream_rank(14, cfg) == 31
-    needed = [e for e, column in partial_columns(14, cfg) if any(column)]
-    assert columns_read == [len(needed)] == [43]
+    assert frame_stream_rank(14, cfg) == 25
+    needed = [e for e, column in reordered_partials(14, cfg) if any(column) and max(e) < 13]
+    assert columns_read == [len(needed)] == [35]
     assert len(products) == 8 * len(lower_monomials(needed))
-    # A full-rank trial computes only the values its first 32 columns read.
+    # A full-rank trial computes only the values of the columns it reads: 33,
+    # since one of the first 32 depends on the others.
     products.clear()
-    assert stream_rank(15, random_configuration(3, 8, random.Random(0))) == 32
-    assert len(products) == 8 * len(lower_monomials(enumerate_monomials(15, 3)[:32]))
+    assert frame_stream_rank(15, random_configuration(3, 8, random.Random(0))) == 32
+    inner = [e for e in enumerate_monomials(15, 3) if max(e) < 14]
+    assert len(products) == 8 * len(lower_monomials(inner[:33]))
     # Eight points on a line through no coordinate point: rank-deficient
-    # with no zero column, so all 680 columns are read, and each of the
-    # C(16, 3) = 560 degree-13 values is computed once per point.
+    # with no zero column, so all 664 columns with every exponent below 13
+    # are read, and each of the C(16, 3) - 4 = 556 degree-13 values with
+    # every exponent below 13 is computed once per point.
     products.clear()
     line = PointConfiguration(3, tuple((1, t + 2, 2 * t + 3, t + 5) for t in range(8)))
-    assert stream_rank(14, line) == 31
-    assert columns_read == [43, 32, 680]
-    assert len(products) == 8 * comb(16, 3)
+    assert frame_stream_rank(14, line) == 31
+    assert columns_read == [35, 33, 664]
+    assert len(products) == 8 * (comb(16, 3) - 4)
     assert bareiss_calls == []
 
 
@@ -457,10 +479,26 @@ SPAN_CONFIGS = [
 ]
 
 
+def spanning_configurations():
+    """Seeded random points spanning P^n, n = 1..4, N = n+1 and 2n+2, with no zero coordinate."""
+    configs = []
+    for n in range(1, 5):
+        for N in (n + 1, 2 * n + 2):
+            rng = random.Random(f"span {n} {N}")
+            cfg = random_configuration(n, N, rng)
+            while (any(0 in point for point in cfg.integer_points)
+                   or len(linalg._eliminate(cfg.integer_points, n + 1)[1]) <= n):
+                cfg = random_configuration(n, N, rng)
+            configs.append(cfg)
+    return configs
+
+
 @pytest.fixture(scope="module")
 def split_oracle():
     """(d, configuration, rank): sympy's rank of the nonzero partials, or the probes' line bound."""
     cases = list(ZERO_HEAVY)
+    # Spanning points at d <= 2, where codimension takes the closed form.
+    cases += [(d, cfg) for cfg in spanning_configurations() for d in (1, 2)]
     cases += [(d, coordinate_configuration(n, N))
               for n in range(1, 5) for N in range(1, n + 2) for d in range(1, 2 * N + 2)]
     cases += [(d, cfg) for cfg in SUBSPACE_CONFIGS for d in range(1, 2 * cfg.count + 2)]
@@ -469,8 +507,7 @@ def split_oracle():
     cases += [(d, cfg) for cfg in spans for d in range(1, 2 * cfg.count + 2)]
     oracle = []
     for d, cfg in cases:
-        nonzero = [column for _, column in partial_columns(d, cfg) if any(column)]
-        oracle.append((d, cfg, sympy_rank(list(zip(*nonzero)))))
+        oracle.append((d, cfg, sympy_rank(condition_rows(d, cfg))))
     return oracle + [(d, collinear_configuration(n, N), N * (n - 1) + d + 1) for d, n, N in PROBES]
 
 
@@ -483,8 +520,12 @@ def test_split_matches_the_stream_and_sympy(split_oracle):
     assert [linalg._eliminate(cfg.integer_points, 5)[1] for cfg in SPAN_CONFIGS] == [
         [0, 1], [0, 1, 2]]
     for d, cfg, rank in split_oracle:
-        assert codimension(d, cfg) == stream_rank(d, cfg) == rank, (d, cfg)
-        assert rank <= generic_codimension(d, cfg.dimension, cfg.count), (d, cfg)
+        assert codimension(d, cfg) == rank <= generic_codimension(d, cfg.dimension, cfg.count)
+    # The certified rank of the reference stream meets sympy's. The probes'
+    # reference streams walk up to 27,405 columns, so three of their sizes
+    # are certified in test_collinear_probe_certificates_pass_the_oracle instead.
+    for d, cfg, rank in split_oracle[:-len(PROBES)]:
+        assert stream_rank(d, cfg) == rank, (d, cfg)
 
 
 @pytest.mark.parametrize("d, n, N", PROBES)
@@ -581,7 +622,7 @@ def invariance_violations(module):
 
 
 def test_codimension_is_invariant_under_unimodular_changes_of_coordinates():
-    # g.P spans no coordinate subspace, so the split, the witness and the stream
+    # g.P spans no coordinate subspace, so the split, the witness and the frame
     # run on other supports and larger entries than at P.
     assert list(invariance_violations(conditions)) == []
 
@@ -677,12 +718,30 @@ def test_frame_mutants_fail_the_oracle(old, new, frame_oracle):
                for d, cfg, full, _ in frame_oracle)
 
 
-def test_coordinate_points_read_no_column(columns_read):
+DISPATCH_MUTATIONS = {
+    "closed-form-at-d-3": ("if d <= 2:", "if d <= 3:"),
+    "frame-at-d-2": ("if d <= 2:", "if d <= 1:"),
+    "witness-at-2N-2": ("d >= 2 * config.count - 1", "d >= 2 * config.count - 2"),
+}
+
+
+@pytest.mark.parametrize("old, new", DISPATCH_MUTATIONS.values(), ids=DISPATCH_MUTATIONS)
+def test_dispatch_mutants_fail_an_oracle(old, new, split_oracle, frame_oracle):
+    mutant = mutant_conditions(old, new)
+    cases = split_oracle + [(d, cfg, full) for d, cfg, full, _ in frame_oracle]
+    assert any(value_or_error(mutant.codimension, d, cfg) != rank for d, cfg, rank in cases)
+
+
+def test_coordinate_points_read_no_column(columns_read, certificates):
     # n+1 points spanning P^n are their own frame: (n+1)^2 with no column read.
     for n in range(1, 5):
         for d in range(3, 2 * n + 1):
             assert codimension(d, coordinate_configuration(n, n + 1)) == (n + 1) ** 2
-    assert columns_read == []
+    # At d <= 2 spanning points take the closed form, every column.
+    for cfg in [coordinate_configuration(n, n + 1) for n in range(1, 5)] + spanning_configurations():
+        for d in (1, 2):
+            assert codimension(d, cfg) == comb(d + cfg.dimension, d), (d, cfg)
+    assert columns_read == [] and certificates == []
 
 
 def test_sporadic_cases_stream_once(columns_read):
@@ -719,7 +778,7 @@ LEMMA_SIZES = [(15, 3, 8), (11, 4, 6), (23, 2, 12)]
 
 
 def test_witness_agrees_with_the_stream(columns_read):
-    # codimension reads no column, and the stream alone gives the same value.
+    # codimension reads no column, and the reference stream alone gives the same value.
     configs = [(d, random_configuration(n, N, random.Random(s)))
                for d, n, N in LEMMA_SIZES for s in derive_trial_seeds(5, 4)]
     x0_seed = derive_trial_seeds(0, 8)[2]
@@ -754,9 +813,14 @@ def test_witness_certifies_points_equal_mod_p(columns_read, bareiss_calls):
     assert bareiss_calls == []
 
 
-def test_failed_witness_falls_back_to_the_stream(monkeypatch, columns_read):
+def test_failed_witness_falls_back_to_the_frame(monkeypatch, columns_read):
+    # Four points spanning P^3 are their own frame, so the fallback reads no column.
     cfg = random_configuration(3, 4, random.Random(3))
     separate = conditions._separating_form
+    frame_rank = conditions._frame_rank
+    framed = []
+    monkeypatch.setattr(conditions, "_frame_rank",
+                        lambda d, config: framed.append(d) or frame_rank(d, config))
 
     def not_vanishing(p, q):
         # Still nonzero at p, but no longer zero at q.
@@ -765,14 +829,14 @@ def test_failed_witness_falls_back_to_the_stream(monkeypatch, columns_read):
     monkeypatch.setattr(conditions, "_separating_form", not_vanishing)
     assert conditions._witness_blocks(7, cfg) is None
     assert codimension(7, cfg) == 16
-    assert columns_read == [16]
-    # A block of rank below n+1 also hands the degree to the stream.
+    assert framed == [7] and columns_read == []
+    # A block of rank below n+1 also hands the degree to the frame.
     monkeypatch.setattr(conditions, "_separating_form", separate)
     blocks = conditions._witness_blocks(7, cfg)
     blocks[2] = [[row[0]] * 4 for row in blocks[2]]
     monkeypatch.setattr(conditions, "_witness_blocks", lambda d, config: blocks)
     assert codimension(7, cfg) == 16
-    assert columns_read == [16, 16]
+    assert framed == [7, 7] and columns_read == []
 
 
 def witness_polynomial(d, points, a):
@@ -802,21 +866,20 @@ def witness_polynomial(d, points, a):
 @pytest.mark.parametrize("d, n, N, seed", [(3, 1, 2, 0), (5, 2, 3, 1), (6, 2, 3, 2),
                                            (4, 3, 2, 3), (7, 1, 3, 4)])
 def test_witness_blocks_are_the_conditions_of_the_witness_forms(d, n, N, seed):
-    # With no zero coordinate, the stream is every column in graded-lex order.
+    # Points with no zero coordinate, so M_a = x0 at every point, and not all with x0 = 1.
     rng = random.Random(seed)
     cfg = random_configuration(n, N, rng)
     while any(0 in point for point in cfg.integer_points):
         cfg = random_configuration(n, N, rng)
     assert any(point[0] != 1 for point in cfg.integer_points)
-    matrix = list(conditions._singularity_columns(d, cfg))
-    monomials = enumerate_monomials(d, n)
+    columns = list(partial_columns(d, n, cfg.integer_points))
     blocks = conditions._witness_blocks(d, cfg)
     for a in range(N):
         kpoly = witness_polynomial(d, cfg.integer_points, a)
         for j in range(n + 1):
             form = {e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in kpoly.items()}
             conditions_of_form = [
-                sum(form.get(e, 0) * column[r] for e, column in zip(monomials, matrix))
+                sum(form.get(e, 0) * column[r] for e, column in columns)
                 for r in range(N * (n + 1))
             ]
             expected = [0] * (N * (n + 1))
@@ -863,8 +926,8 @@ def check_issued_certificate(value, certificates, bareiss_calls):
 
 @pytest.mark.parametrize("d, n, N", [(14, 3, 8), (10, 4, 6), (22, 2, 12)])
 def test_collinear_probe_certificates_pass_the_oracle(d, n, N, certificates, bareiss_calls):
-    # The sharpness probes of the benchmark rungs, streamed whole in P^n (codimension
-    # splits them onto their line instead): rank N(n+1) - 1 at degree 2N-2.
+    # The sharpness probes of the benchmark rungs, every nonzero column of them in P^n
+    # (codimension splits them onto their line instead): rank N(n+1) - 1 at degree 2N-2.
     value = stream_rank(d, collinear_configuration(n, N))
     assert check_issued_certificate(value, certificates, bareiss_calls) == N * (n + 1) - 1
 
@@ -881,10 +944,11 @@ def test_sporadic_certificates_pass_the_oracle(certificates, bareiss_calls):
 
 def test_golden_configuration_certificates_pass_the_oracle():
     # Full rank at every degree, so codimension never needs the certificate;
-    # the helper still proves the rank, in both orientations (12 x 3 to 12 x 36).
+    # the helper still proves the rank of every nonzero column, in both
+    # orientations (12 x 3 to 12 x 36).
     cfg = parse_points_json((Path(__file__).parent / "golden" / "points.json").read_text())
     for d in range(1, 8):
-        columns = list(conditions._singularity_columns(d, cfg))
+        columns = list(reference_columns(d, cfg))
         pivots = linalg.modular_column_rank(columns, len(columns))
         certificate = linalg._rank_certificate(columns, pivots)
         rows = [list(row) for row in zip(*columns)]
@@ -892,12 +956,12 @@ def test_golden_configuration_certificates_pass_the_oracle():
 
 
 def test_full_column_rank_needs_no_certificate(certificates, bareiss_calls):
-    # x0^2 vanishes to order two at both points, so 5 columns are streamed for
+    # x0^2 vanishes to order two at both points, so 5 columns are nonzero for
     # 6 rows. Rank 5 meets min(rows, columns read), which proves it exact.
     cfg = PointConfiguration(2, ((0, 0, 1), (0, 1, 0)))
-    columns = list(conditions._singularity_columns(2, cfg))
+    columns = list(reference_columns(2, cfg))
     assert len(columns) == 5 and {len(column) for column in columns} == {6}
-    assert codimension(2, cfg) == 5 == sympy_codimension(2, list(cfg.points))
+    assert stream_rank(2, cfg) == codimension(2, cfg) == 5 == sympy_codimension(2, list(cfg.points))
     assert certificates == [] and bareiss_calls == []
 
 
